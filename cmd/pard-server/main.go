@@ -1,8 +1,9 @@
 // Command pard-server hosts a pipeline — chain or DAG — behind HTTP with
 // live PARD scheduling. Model execution is simulated by letting batch
-// timers elapse for the profiled durations; everything else (queues,
+// events fall due after the profiled durations; everything else (queues,
 // batching, dropping, priority, state sync) is the real scheduler, the same
-// shared core the simulator runs.
+// shared core the simulator runs. SIGINT or SIGTERM shuts it down
+// gracefully: requests in flight are answered before it exits.
 //
 // Usage:
 //
@@ -13,26 +14,51 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
+	"syscall"
+	"time"
 
 	"pard"
 )
 
 func main() {
-	app := flag.String("app", "tm", "pipeline: tm, lv, gm, or the DAG da")
-	policyName := flag.String("policy", "pard", "drop policy")
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "workers per module")
-	seed := flag.Int64("seed", 1, "random seed")
-	admission := flag.Bool("admission", false, "enable estimator-driven admission control (429 + Retry-After at predicted SLO misses)")
-	admInFlight := flag.Int("admission-inflight", 0, "admission gate in-flight bound (0 = unbounded; needs -admission)")
-	admSLOFactor := flag.Float64("admission-slo-factor", 1.0, "admission threshold as a fraction of the SLO (needs -admission)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fatal(err)
+	}
+}
+
+// run serves until ctx is done (SIGINT or SIGTERM in the binary), then
+// shuts down gracefully: the listener closes, requests already in flight
+// are answered by the still-running core, and only then does Server.Stop
+// resolve whatever is left. ready, when set, receives the bound address.
+func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- string) error {
+	fs := flag.NewFlagSet("pard-server", flag.ContinueOnError)
+	app := fs.String("app", "tm", "pipeline: tm, lv, gm, or the DAG da")
+	policyName := fs.String("policy", "pard", "drop policy")
+	addr := fs.String("addr", ":8080", "listen address")
+	workers := fs.Int("workers", 2, "workers per module")
+	seed := fs.Int64("seed", 1, "random seed")
+	admission := fs.Bool("admission", false, "enable estimator-driven admission control (429 + Retry-After at predicted SLO misses)")
+	admInFlight := fs.Int("admission-inflight", 0, "admission gate in-flight bound (0 = unbounded; needs -admission)")
+	admSLOFactor := fs.Float64("admission-slo-factor", 1.0, "admission threshold as a fraction of the SLO (needs -admission)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	srv, spec, err := newServer(*app, *policyName, *workers, *seed, pard.AdmissionConfig{
 		Enabled:     *admission,
@@ -40,20 +66,45 @@ func main() {
 		SLOFactor:   *admSLOFactor,
 	})
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
 	srv.Start()
 	defer srv.Stop()
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(l) }()
 
 	gate := "off"
 	if *admission {
 		gate = "on"
 	}
-	fmt.Printf("pard-server: serving %s (%d modules, SLO %v) with policy %s on %s (admission %s)\n",
-		*app, spec.N(), spec.SLO, *policyName, *addr, gate)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
-		fatal(err)
+	fmt.Fprintf(stdout, "pard-server: serving %s (%d modules, SLO %v) with policy %s on %s (admission %s)\n",
+		*app, spec.N(), spec.SLO, *policyName, l.Addr(), gate)
+	if ready != nil {
+		ready <- l.Addr().String()
 	}
+
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	// Every /infer handler answers within its 10×SLO stall bound, so this
+	// grace only expires if a client stops reading.
+	sctx, cancel := context.WithTimeout(context.Background(), 10*spec.SLO+5*time.Second)
+	defer cancel()
+	err = hs.Shutdown(sctx)
+	<-served
+	fmt.Fprintln(stdout, "pard-server: shut down")
+	return err
 }
 
 // newServer builds (but does not start) the live server for an app name.

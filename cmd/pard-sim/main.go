@@ -49,8 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	compare := fs.Bool("compare", false, "run the four headline systems instead of one policy")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = all CPU cores, 1 = sequential)")
-	engine := fs.String("engine", "lane", "execution engine: lane (the default per-module lane engine) or classic (the deprecated pre-flip global event heap, kept one deprecation cycle to reproduce old numbers)")
-	shards := fs.Int("shards", 0, "per-module event-lane workers within each simulation (0 or 1 = the default lane engine run sequentially, N = N concurrent workers; must be 0 with -engine classic)")
+	shards := fs.Int("shards", 0, "per-module event-lane workers within each simulation (0 or 1 = sequential, N = N concurrent workers; results are identical at every count)")
 	groups := fs.Int("groups", 0, "in-process lane-group replicas per simulation (0 or 1 = ungrouped; results are bit-identical at every count — determinism invariant #5)")
 	hosts := fs.String("hosts", "", "comma-separated addresses of waiting lane-group peers (pard-sim -join-sim or pard-worker -sim); this process becomes the hub (lane group 0) and the run spans len(hosts)+1 processes")
 	joinSim := fs.String("join-sim", "", "join one distributed simulation as a lane group: listen on this address, serve the hub that dials in, print this replica's result, exit")
@@ -105,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			PolicyName: *policyName,
 			Trace:      tr,
 			Seed:       *seed,
-			Engine:     *engine,
 			Shards:     *shards,
 		}, stderr)
 		if err != nil {
@@ -136,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 					PolicyName: pol,
 					Trace:      tr,
 					Seed:       *seed,
-					Engine:     *engine,
 					Shards:     *shards,
 					Groups:     *groups,
 				})

@@ -10,12 +10,10 @@
 // The worker is stateless: base seed and trace duration arrive in the
 // coordinator's handshake, every unit's seed derives from its cache key,
 // and results stream back as gob frames — so a grid computed here is
-// byte-identical to the same grid computed anywhere else. Engine identity
-// rides in each unit's cache key (the mandatory |eng= marker) and RunOpts,
-// so a mixed classic/lane grid executes correctly on any worker; peers
-// from before the lane-engine default flip speak dist.ProtoVersion 1 and
-// are refused at the handshake rather than allowed to silently simulate
-// the same keys on the old engine. A -cache-dir on
+// byte-identical to the same grid computed anywhere else. Every unit runs
+// on the lane engine; peers older than dist.ProtoVersion 4, which could
+// still ask for the removed classic engine, are refused at the handshake
+// rather than allowed to run those keys on the lane engine. A -cache-dir on
 // shared storage turns finished units into a cluster-wide artifact store:
 // units already present (from an earlier run, another worker, or a
 // pre-seeded volume) are served without re-execution and reported to the

@@ -129,41 +129,50 @@ func TestKeyCrossCheckRejectsSkew(t *testing.T) {
 	}
 }
 
+// peerVersions are the protocol versions a current peer must refuse: the
+// next one, and v3 — the last version whose work units could carry
+// -engine classic, which this side would run on the lane engine.
+var peerVersions = []int{ProtoVersion + 1, 3}
+
 // TestVersionMismatchRefused: both sides refuse a peer speaking another
 // protocol version.
 func TestVersionMismatchRefused(t *testing.T) {
 	t.Run("worker-side", func(t *testing.T) {
-		coordSide, workerSide := net.Pipe()
-		done := make(chan error, 1)
-		go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
-		f := newFramed(coordSide)
-		if err := f.send(Hello{Proto: ProtoVersion + 1}); err != nil {
-			t.Fatal(err)
+		for _, v := range peerVersions {
+			coordSide, workerSide := net.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- ServeConn(workerSide, WorkerConfig{Workers: 1}) }()
+			f := newFramed(coordSide)
+			if err := f.send(Hello{Proto: v}); err != nil {
+				t.Fatal(err)
+			}
+			// The worker still acks (net.Pipe is synchronous, so the
+			// refusal ack must be consumed) but then refuses to serve.
+			var ack HelloAck
+			if err := f.recv(&ack, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "version mismatch") {
+				t.Fatalf("worker accepted protocol %d: %v", v, err)
+			}
+			coordSide.Close()
 		}
-		// The worker still acks (net.Pipe is synchronous, so the refusal
-		// ack must be consumed) but then refuses to serve.
-		var ack HelloAck
-		if err := f.recv(&ack, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err == nil || !strings.Contains(err.Error(), "version mismatch") {
-			t.Fatalf("worker accepted a future protocol: %v", err)
-		}
-		coordSide.Close()
 	})
 	t.Run("coordinator-side", func(t *testing.T) {
-		c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
-		defer c.Close()
-		coordSide, fakeWorker := net.Pipe()
-		go func() {
-			f := newFramed(fakeWorker)
-			var h Hello
-			if f.recv(&h, 0) == nil {
-				f.send(HelloAck{Proto: ProtoVersion + 1, Capacity: 1})
+		for _, v := range peerVersions {
+			c := NewCoordinator(CoordinatorConfig{Engine: testEngine()})
+			coordSide, fakeWorker := net.Pipe()
+			go func() {
+				f := newFramed(fakeWorker)
+				var h Hello
+				if f.recv(&h, 0) == nil {
+					f.send(HelloAck{Proto: v, Capacity: 1})
+				}
+			}()
+			if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "version mismatch") {
+				t.Fatalf("coordinator accepted protocol %d: %v", v, err)
 			}
-		}()
-		if err := c.AddConn(coordSide); err == nil || !strings.Contains(err.Error(), "version mismatch") {
-			t.Fatalf("coordinator accepted a future protocol: %v", err)
+			c.Close()
 		}
 	})
 }

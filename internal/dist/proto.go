@@ -48,7 +48,14 @@ import (
 // gained the distributed-simulation session (SimHello/SimAck plus the
 // lockstep exchange envelopes). A v2 peer would misparse the length prefix
 // as gob type wiring.
-const ProtoVersion = 3
+//
+// Version 4: the classic engine is gone, and with it RunOpts.Engine and
+// simgpu.Config.Engine, so the gob-encoded work units and SimJob changed
+// shape. A v3 coordinator may still send -engine classic units; gob would
+// drop the unknown field, and a v4 worker would silently run them on the
+// lane engine under a classic cache key. The handshake refuses v3 peers
+// instead.
+const ProtoVersion = 4
 
 // Hello opens a coordinator→worker stream. It carries everything a worker
 // needs to reproduce the coordinator's derivation of per-run seeds and

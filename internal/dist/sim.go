@@ -471,9 +471,6 @@ func RunSimDistributed(cfg simgpu.Config, conns []net.Conn, opts SimOptions) (*s
 	if cfg.Groups > 1 || cfg.Remote != nil {
 		return nil, fmt.Errorf("dist: config already carries a lane-group topology; RunSimDistributed assigns its own")
 	}
-	if cfg.Engine == simgpu.EngineClassic {
-		return nil, fmt.Errorf("dist: engine %q has no lanes to group; distributed simulation needs the lane engine", simgpu.EngineClassic)
-	}
 	groups := len(conns) + 1
 	if cfg.Spec != nil && groups > cfg.Spec.N() {
 		return nil, fmt.Errorf("dist: %d lane groups for %d modules; at most one group per module", groups, cfg.Spec.N())

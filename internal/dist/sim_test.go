@@ -282,6 +282,7 @@ func TestServeSimRefusals(t *testing.T) {
 		want  string
 	}{
 		{"version-skew", SimHello{Proto: ProtoVersion + 1, LibraryFP: fp, Groups: 2, Group: 1, Job: job}, "version mismatch"},
+		{"v3-hub", SimHello{Proto: 3, LibraryFP: fp, Groups: 2, Group: 1, Job: job}, "version mismatch"},
 		{"library-skew", SimHello{Proto: ProtoVersion, LibraryFP: fp ^ 1, Groups: 2, Group: 1, Job: job}, "library mismatch"},
 		{"group-out-of-range", SimHello{Proto: ProtoVersion, LibraryFP: fp, Groups: 2, Group: 2, Job: job}, "out of range"},
 	}

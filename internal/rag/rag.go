@@ -26,7 +26,7 @@ import (
 	"math/rand"
 	"time"
 
-	"pard/internal/sim"
+	"pard/internal/sched"
 	"pard/internal/stats"
 )
 
@@ -168,7 +168,9 @@ func (s *slotPool) release(now time.Duration) {
 
 type runner struct {
 	cfg Config
-	eng *sim.Engine
+	// x runs every stage event on its control lane: one serial queue
+	// ordered by time, then schedule order. The single lane stays empty.
+	x   *sched.ShardedExecutor
 	rng *rand.Rand
 
 	rewrite  *slotPool
@@ -201,7 +203,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r := &runner{
 		cfg:          cfg,
-		eng:          sim.New(cfg.Seed),
+		x:            sched.NewShardedExecutor(1, 1, 0),
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		rewrite:      &slotPool{cap: cfg.RewriteSlots},
 		generate:     &slotPool{cap: cfg.GenerateSlots},
@@ -217,7 +219,7 @@ func Run(cfg Config) (*Result, error) {
 		r.res.Latencies[i] = StageLatency{Name: StageNames[i]}
 	}
 	r.inject()
-	r.eng.Run(0)
+	r.x.Run()
 	r.finalize()
 	return r.res, nil
 }
@@ -268,7 +270,7 @@ func (r *runner) inject() {
 		at := time.Duration(t * float64(time.Second))
 		req := r.sampleRequest(i, at)
 		r.reqs = append(r.reqs, req)
-		r.eng.Schedule(at, "rag-arrive", func(e *sim.Engine) { r.enterRewrite(req, e.Now()) })
+		r.x.Schedule(at, "rag-arrive", func(now time.Duration) { r.enterRewrite(req, now) })
 	}
 }
 
@@ -361,14 +363,14 @@ func (r *runner) enterRewrite(req *request, now time.Duration) {
 	enter := now
 	r.rewrite.acquire(now, func(start time.Duration) {
 		end := start + req.rewriteDur
-		r.eng.Schedule(end, "rewrite-done", func(e *sim.Engine) {
-			total := e.Now() - enter // slot queueing + decoding
-			r.rewriteWin.Add(e.Now(), total.Seconds())
-			r.rewriteQWin.Add(e.Now(), (start - enter).Seconds())
-			r.rewriteDWin.Add(e.Now(), req.rewriteDur.Seconds())
+		r.x.Schedule(end, "rewrite-done", func(done time.Duration) {
+			total := done - enter // slot queueing + decoding
+			r.rewriteWin.Add(done, total.Seconds())
+			r.rewriteQWin.Add(done, (start - enter).Seconds())
+			r.rewriteDWin.Add(done, req.rewriteDur.Seconds())
 			r.record(StageRewrite, total)
-			r.rewrite.release(e.Now())
-			r.enterBranches(req, e.Now())
+			r.rewrite.release(done)
+			r.enterBranches(req, done)
 		})
 	})
 }
@@ -380,16 +382,16 @@ func (r *runner) enterBranches(req *request, now time.Duration) {
 	}
 	// Retrieve branch (batched vector DB; modeled as near-constant).
 	retEnd := now + r.cfg.RetrieveDur + time.Duration(r.rng.Intn(10))*time.Millisecond
-	r.eng.Schedule(retEnd, "retrieve-done", func(e *sim.Engine) {
-		r.record(StageRetrieve, e.Now()-now)
-		r.branchDone(req, e.Now())
+	r.x.Schedule(retEnd, "retrieve-done", func(done time.Duration) {
+		r.record(StageRetrieve, done-now)
+		r.branchDone(req, done)
 	})
 	// Search branch (web API, unbounded concurrency, heavy tail).
 	searchEnd := now + req.searchDur
-	r.eng.Schedule(searchEnd, "search-done", func(e *sim.Engine) {
-		r.searchWin.Add(e.Now(), req.searchDur.Seconds())
+	r.x.Schedule(searchEnd, "search-done", func(done time.Duration) {
+		r.searchWin.Add(done, req.searchDur.Seconds())
 		r.record(StageSearch, req.searchDur)
-		r.branchDone(req, e.Now())
+		r.branchDone(req, done)
 	})
 }
 
@@ -408,13 +410,13 @@ func (r *runner) enterGenerate(req *request, now time.Duration) {
 	enter := now
 	r.generate.acquire(now, func(start time.Duration) {
 		end := start + req.prefillDur
-		r.eng.Schedule(end, "prefill-done", func(e *sim.Engine) {
-			r.generateQWin.Add(e.Now(), (start - enter).Seconds())
-			r.generateDWin.Add(e.Now(), req.prefillDur.Seconds())
-			r.record(StageGenerate, e.Now()-enter)
-			r.generate.release(e.Now())
+		r.x.Schedule(end, "prefill-done", func(done time.Duration) {
+			r.generateQWin.Add(done, (start - enter).Seconds())
+			r.generateDWin.Add(done, req.prefillDur.Seconds())
+			r.record(StageGenerate, done-enter)
+			r.generate.release(done)
 			req.finished = true
-			req.ttft = e.Now() - req.send
+			req.ttft = done - req.send
 		})
 	})
 }

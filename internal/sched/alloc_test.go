@@ -40,10 +40,8 @@ func TestAllocsEventDispatch(t *testing.T) {
 }
 
 // TestAllocsScheduleEventLanePath: Cluster.scheduleEvent with the lane
-// scheduler wired allocates nothing per event. The classic-heap fallback is
-// quarantined behind a noinline wrapper precisely so the by-value event
-// parameter cannot be forced to escape at scheduleEvent entry; this floor
-// catches anyone re-merging the two branches.
+// scheduler wired allocates nothing per event: the by-value event must
+// never be forced to escape at scheduleEvent entry.
 func TestAllocsScheduleEventLanePath(t *testing.T) {
 	x := NewShardedExecutor(2, 1, time.Millisecond)
 	x.running = true

@@ -3,19 +3,18 @@ package sched
 import (
 	"sync"
 	"time"
-
-	"pard/internal/sim"
 )
 
-// Executor is the small time-and-callback interface the scheduling core is
-// parameterized over. The discrete-event simulator satisfies it with the
-// virtual event-heap clock (SimExecutor); the live server with wall-clock
-// timers (TimerExecutor); deterministic tests with an injected fake clock
-// (ManualExecutor).
+// Executor is the clock-and-wake interface the scheduling core runs under.
+// The lane engines implement it directly (ShardedExecutor on virtual time,
+// Driver on a host's clock); beneath a Driver, an Executor only supplies
+// the time and the wakes that advance the lanes: wall-clock timers
+// (TimerExecutor) in the live server, an injected clock (ManualExecutor)
+// in deterministic tests.
 //
-// The core is single-threaded by contract: an Executor must never run two
-// callbacks concurrently. SimExecutor and ManualExecutor are inherently
-// serial; TimerExecutor serializes callbacks through an internal run lock.
+// An Executor must never run two callbacks concurrently. ManualExecutor is
+// inherently serial; TimerExecutor serializes callbacks through an
+// internal run lock.
 type Executor interface {
 	// Now returns the elapsed time since the start of the run.
 	Now() time.Duration
@@ -24,29 +23,10 @@ type Executor interface {
 	Schedule(at time.Duration, name string, fn func(now time.Duration))
 }
 
-// SimExecutor adapts the discrete-event engine to the Executor interface:
-// callbacks fire in virtual timestamp order, ties broken by schedule order.
-type SimExecutor struct {
-	eng *sim.Engine
-}
-
-// NewSimExecutor wraps a simulation engine.
-func NewSimExecutor(eng *sim.Engine) SimExecutor { return SimExecutor{eng: eng} }
-
-// Now returns the current virtual time.
-func (x SimExecutor) Now() time.Duration { return x.eng.Now() }
-
-// Schedule registers fn on the engine's event heap.
-func (x SimExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	x.eng.Schedule(at, name, func(e *sim.Engine) { fn(e.Now()) })
-}
-
 // TimerExecutor runs callbacks on real wall-clock timers. All callbacks are
-// serialized through a run lock, so the single-threaded core sees the same
-// execution model as under the simulator, while timer goroutines provide the
-// real concurrency (batch executions overlap in real time across workers).
+// serialized through a run lock, so a Driver's wakes never overlap.
 type TimerExecutor struct {
-	clock sim.Clock
+	start time.Time
 
 	run sync.Mutex // serializes callback execution
 
@@ -59,18 +39,18 @@ type TimerExecutor struct {
 // NewTimerExecutor returns an executor anchored at the current instant.
 func NewTimerExecutor() *TimerExecutor {
 	return &TimerExecutor{
-		clock:  sim.NewWallClock(),
+		start:  time.Now(),
 		timers: map[*time.Timer]struct{}{},
 	}
 }
 
 // Now returns the wall-clock time elapsed since construction.
-func (x *TimerExecutor) Now() time.Duration { return x.clock.Now() }
+func (x *TimerExecutor) Now() time.Duration { return time.Since(x.start) }
 
 // Schedule arms a timer firing at time at (immediately when in the past).
 // Safe for concurrent use, including from inside callbacks.
 func (x *TimerExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	d := at - x.clock.Now()
+	d := at - x.Now()
 	if d < 0 {
 		d = 0
 	}
@@ -92,7 +72,7 @@ func (x *TimerExecutor) Schedule(at time.Duration, name string, fn func(time.Dur
 		}
 		x.run.Lock()
 		defer x.run.Unlock()
-		fn(x.clock.Now())
+		fn(x.Now())
 	})
 	x.timers[t] = struct{}{}
 }
@@ -117,93 +97,43 @@ func (x *TimerExecutor) Stop() {
 	x.wg.Wait()
 }
 
-// manualEvent is one pending ManualExecutor callback.
-type manualEvent struct {
-	at   time.Duration
-	seq  int
-	name string
-	fn   func(time.Duration)
-}
-
 // ManualExecutor is a deterministic executor with an injected clock: time
 // advances only when the caller steps it, and due callbacks fire in
-// (timestamp, schedule-order) order — the same contract as the simulator,
-// implemented independently. It stands in for wall-clock time in parity and
-// server tests.
+// (timestamp, schedule-order) order — the control lane of a one-lane
+// ShardedExecutor. It stands in for wall-clock time in parity and server
+// tests.
 type ManualExecutor struct {
-	now    time.Duration
-	seq    int
-	events []manualEvent
+	x   *ShardedExecutor
+	now time.Duration // the last RunUntil bound
 }
 
 // NewManualExecutor returns an executor at t = 0 with no pending events.
-func NewManualExecutor() *ManualExecutor { return &ManualExecutor{} }
-
-// Now returns the injected current time.
-func (x *ManualExecutor) Now() time.Duration { return x.now }
-
-// Schedule registers fn at time at (clamped to Now for past times).
-func (x *ManualExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
-	if at < x.now {
-		at = x.now
-	}
-	x.events = append(x.events, manualEvent{at: at, seq: x.seq, name: name, fn: fn})
-	x.seq++
+func NewManualExecutor() *ManualExecutor {
+	return &ManualExecutor{x: NewShardedExecutor(1, 1, 0)}
 }
 
-// pop removes and returns the earliest pending event, or false when none.
-func (x *ManualExecutor) pop(limit time.Duration) (manualEvent, bool) {
-	best := -1
-	for i, e := range x.events {
-		if e.at > limit {
-			continue
-		}
-		if best < 0 || e.at < x.events[best].at ||
-			(e.at == x.events[best].at && e.seq < x.events[best].seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return manualEvent{}, false
-	}
-	e := x.events[best]
-	x.events = append(x.events[:best], x.events[best+1:]...)
-	return e, true
+// Now returns the injected current time.
+func (m *ManualExecutor) Now() time.Duration { return max(m.now, m.x.Now()) }
+
+// Schedule registers fn at time at (clamped to Now for past times).
+func (m *ManualExecutor) Schedule(at time.Duration, name string, fn func(time.Duration)) {
+	m.x.Schedule(max(at, m.Now()), name, fn)
 }
 
 // RunUntil fires every event due at or before t in order, then advances the
 // clock to t. Callbacks may schedule further events, which fire in the same
 // pass when due.
-func (x *ManualExecutor) RunUntil(t time.Duration) {
-	for {
-		e, ok := x.pop(t)
-		if !ok {
-			break
-		}
-		x.now = e.at
-		e.fn(e.at)
-	}
-	if t > x.now {
-		x.now = t
-	}
+func (m *ManualExecutor) RunUntil(t time.Duration) {
+	m.x.RunUntil(t)
+	m.now = max(m.now, t)
 }
 
 // Drain fires all pending events (including ones scheduled while draining)
 // and returns the final time.
-func (x *ManualExecutor) Drain() time.Duration {
-	for len(x.events) > 0 {
-		// Find the max pending timestamp and run up to it; new events may
-		// extend the horizon, hence the loop.
-		max := x.events[0].at
-		for _, e := range x.events {
-			if e.at > max {
-				max = e.at
-			}
-		}
-		x.RunUntil(max)
-	}
-	return x.now
+func (m *ManualExecutor) Drain() time.Duration {
+	m.x.Run()
+	return m.Now()
 }
 
 // Pending returns the number of queued events.
-func (x *ManualExecutor) Pending() int { return len(x.events) }
+func (m *ManualExecutor) Pending() int { return m.x.ctrl.q.Len() }

@@ -5,26 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pard/internal/sim"
 )
-
-func TestSimExecutorOrdersByTimestamp(t *testing.T) {
-	eng := sim.New(1)
-	x := NewSimExecutor(eng)
-	var order []int
-	x.Schedule(2*time.Second, "b", func(now time.Duration) {
-		if now != 2*time.Second {
-			t.Fatalf("b fired at %v", now)
-		}
-		order = append(order, 2)
-	})
-	x.Schedule(time.Second, "a", func(now time.Duration) { order = append(order, 1) })
-	eng.Run(0)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
-	}
-}
 
 func TestManualExecutorDeterministicOrder(t *testing.T) {
 	x := NewManualExecutor()

@@ -46,13 +46,16 @@ func sortPosts(posts []post) {
 	})
 }
 
-// laneScheduler is the contract a lane-aware executor offers the cluster:
+// laneScheduler is the contract the lane engine offers the cluster:
 // per-lane event scheduling from an identified source context plus a
-// barrier hook for intent commits. *ShardedExecutor implements it; classic
-// executors (SimExecutor, TimerExecutor, ManualExecutor) do not, and the
-// cluster falls back to plain Schedule with immediate terminations.
+// barrier hook for intent commits. *ShardedExecutor and *Driver implement
+// it; the clock-only executors (TimerExecutor, ManualExecutor) do not, and
+// sched.New refuses them.
 type laneScheduler interface {
 	Executor
+	// inject schedules a host event (a request arrival) on lane dst. A
+	// Driver accepts it from any goroutine.
+	inject(dst int, at time.Duration, ev laneEvent)
 	// scheduleLaneEvent schedules ev on lane dst; src is the executing lane
 	// or -1 for host/control/barrier context. The event travels by value
 	// (typed hot-path ops carry no closure; see laneEvent).
@@ -166,33 +169,12 @@ func (b *laneBridge) commitWire(all []BarrierMsg, resolve func(uint64) *Request)
 			merged = append(merged, mergedIntent{intent: intent{at: wi.At, req: req, drop: wi.Drop}, mod: int(wi.Mod)})
 		}
 	}
-	slices.SortStableFunc(merged, func(a, b mergedIntent) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.mod, b.mod)
-	})
-	for _, m := range merged {
-		if m.drop {
-			b.cl.commitDrop(m.req, m.mod, m.at)
-		} else {
-			b.cl.commitComplete(m.req, m.at)
-		}
-	}
-	b.scratch = merged[:0]
-	for k := range b.retired {
-		clear(b.retired[k])
-	}
+	b.apply(merged)
 	return nil
 }
 
-// commit applies every deferred termination in (virtual time, module,
-// decision order) order. Committing sets the shared Request flags (making
-// the termination visible to every lane from the next window on), counts the
-// drop against the deciding module, and fires the host callback. The first
-// intent for a request in commit order wins; later ones — a second branch of
-// a DAG deciding to drop the same request inside one window — are no-ops,
-// exactly as under sequential execution.
+// commit applies this window's deferred terminations, gathered in (module,
+// decision order).
 func (b *laneBridge) commit() {
 	merged := b.scratch[:0]
 	for k, list := range b.intents {
@@ -201,9 +183,20 @@ func (b *laneBridge) commit() {
 		}
 		b.intents[k] = list[:0]
 	}
+	b.apply(merged)
+}
+
+// apply commits merged terminations in (virtual time, module, decision
+// order) order. Committing sets the shared Request flags (making the
+// termination visible to every lane from the next window on), counts the
+// drop against the deciding module, and fires the host callback. The first
+// intent for a request in commit order wins; later ones — a second branch
+// of a DAG deciding to drop the same request inside one window — are
+// no-ops, exactly as under sequential execution.
+func (b *laneBridge) apply(merged []mergedIntent) {
+	b.scratch = merged[:0]
 	if len(merged) == 0 {
-		b.scratch = merged
-		return
+		return // nothing was decided, so nothing is retired either
 	}
 	slices.SortStableFunc(merged, func(a, b mergedIntent) int {
 		if a.at != b.at {
@@ -218,7 +211,6 @@ func (b *laneBridge) commit() {
 			b.cl.commitComplete(m.req, m.at)
 		}
 	}
-	b.scratch = merged[:0]
 	for k := range b.retired {
 		// clear keeps the map's storage, so a steady-state barrier reuses it
 		// instead of re-allocating a map per module per window.

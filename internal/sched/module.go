@@ -227,16 +227,10 @@ func (m *module) dispatch(e entry, now time.Duration) {
 	best.enqueue(e, now)
 }
 
-// chargeRequest records a batch execution's per-request accounting. Lane
-// mode appends to the module-local buffer (merged at the next barrier);
-// classic and wall-clock executors apply it immediately — they run the
-// core serially by contract, so the plain adds in Request.charge are safe.
+// chargeRequest records a batch execution's per-request accounting in the
+// module-local buffer, merged into the shared Request at the next barrier.
 func (m *module) chargeRequest(r *Request, gpu, q, w, d time.Duration) {
-	if m.cl.bridge != nil {
-		m.charges = append(m.charges, chargeRec{req: r, gpu: gpu, q: q, w: w, d: d})
-		return
-	}
-	r.charge(gpu, q, w, d)
+	m.charges = append(m.charges, chargeRec{req: r, gpu: gpu, q: q, w: w, d: d})
 }
 
 // observe records decision-time measurements for a batched request

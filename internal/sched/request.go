@@ -44,10 +44,9 @@ type Request struct {
 }
 
 // charge accumulates a batch execution's per-request accounting. Callers
-// guarantee serial context: classic and wall-clock executors run the core
-// single-threaded by contract, and lane mode routes charges through
-// per-module buffers merged at the window barrier with every lane parked
-// (see module.chargeRequest) — which is why these are plain adds, not the
+// guarantee serial context: charges travel through per-module buffers
+// merged at the window barrier with every lane parked (see
+// module.chargeRequest) — which is why these are plain adds, not the
 // per-event atomics they once were. The totals are order-independent sums,
 // so the result stays deterministic.
 func (r *Request) charge(gpu, q, w, d time.Duration) {

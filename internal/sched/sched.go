@@ -3,24 +3,25 @@
 // decisions), worker pools with batch assembly, state-board synchronization,
 // budget accounting, the scaling engine and DAG fan-out/merge routing.
 //
-// The core is parameterized over a small Executor interface (time plus
-// scheduled callbacks), so the same state machine runs in two places:
+// The core always runs on the lane engine: one event lane per module plus a
+// serial control lane, with drops and completions committed at window
+// barriers. The same state machine runs in two places:
 //
-//   - the discrete-event simulator (internal/simgpu) instantiates it with
-//     the virtual event-heap clock (SimExecutor over internal/sim), and
-//   - the live server (internal/server) instantiates it with wall-clock
-//     timers and real goroutines (TimerExecutor).
+//   - the discrete-event simulator (internal/simgpu) drives the engine
+//     (ShardedExecutor) to completion on virtual time, and
+//   - the live server (internal/server) drives it incrementally (Driver)
+//     from an Executor that supplies wall-clock time and timer wakes
+//     (TimerExecutor), or an injected clock in tests (ManualExecutor).
 //
-// Both instantiations exercise the exact same dropping, batching and
-// priority code paths; a parity test in internal/server proves the
-// decisions are identical under virtual and injected wall clocks.
+// Both exercise the exact same dropping, batching, priority and commit code
+// paths; a parity test in internal/server proves the simulator and the
+// server on an injected clock decide every request identically.
 package sched
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pard/internal/core"
@@ -88,12 +89,12 @@ type Config struct {
 }
 
 // Cluster is one instantiated scheduling core: the controller + worker pool
-// per module of Fig. 4, driven by an Executor. All methods must be called
-// from the executor's serial context (or before it starts running).
+// per module of Fig. 4, driven by a lane engine. Inject may be called from
+// any goroutine on a Driver; every other method must be called from the
+// engine's serial context (or before it starts running).
 type Cluster struct {
-	cfg  Config
-	exec Executor
-	pol  policy.Policy
+	cfg Config
+	pol policy.Policy
 
 	modules []*module
 	board   *core.Board
@@ -107,17 +108,16 @@ type Cluster struct {
 	batches []int
 	durs    []time.Duration
 
-	// Sharded execution path (nil on classic executors): lanes defer
-	// request terminations to barrier commits and exchange cross-module
-	// events through the executor's ordered mailbox.
+	// The lane engine: lanes defer request terminations to barrier commits
+	// and exchange cross-module events through its ordered mailbox.
 	ls     laneScheduler
 	bridge *laneBridge
-	// inControl marks serial control context (sync/scale/failure callbacks
-	// and barrier commits), where terminations apply immediately even in
-	// lane mode. Only ever flipped while every lane is parked.
+	// inControl marks serial control context (sync/scale/failure
+	// callbacks), where a single group commits terminations immediately.
+	// Only ever flipped while every lane is parked.
 	inControl bool
 
-	// Multi-group topology (nil/zero on single-group and classic paths):
+	// Multi-group topology (nil/zero on the single-group path):
 	// this cluster is one lane-group replica, exchanging board rows,
 	// scaling demands, mailbox posts, charges and termination intents with
 	// its peers through tr. See transport.go for the distribution model.
@@ -125,11 +125,6 @@ type Cluster struct {
 	topo    Topology
 	tr      Transport
 	resolve func(uint64) *Request
-
-	// classicEvents recycles event carriers on the classic-executor path
-	// (see classicEvent). Per-cluster so pooled carriers never cross runs;
-	// safe for the live server's concurrent injectors.
-	classicEvents sync.Pool
 }
 
 // streamSeed derives module k's independent seed for one random stream from
@@ -141,10 +136,13 @@ func streamSeed(seed int64, k int, purpose string) int64 {
 	return int64(h.Sum64())
 }
 
-// New validates the configuration and assembles the cluster on the executor.
+// New validates the configuration and assembles the cluster on a lane
+// engine: a *ShardedExecutor (simulation) or a *Driver (live hosts). Any
+// other Executor is refused; wrap it in a Driver.
 func New(cfg Config, exec Executor) (*Cluster, error) {
-	if exec == nil {
-		return nil, fmt.Errorf("sched: nil executor")
+	ls, ok := exec.(laneScheduler)
+	if !ok {
+		return nil, fmt.Errorf("sched: executor %T has no event lanes; drive it through a Driver", exec)
 	}
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("sched: config needs a pipeline spec")
@@ -183,40 +181,28 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		return nil, err
 	}
 
+	if ls.Lanes() != n {
+		return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", ls.Lanes(), n)
+	}
 	c := &Cluster{
 		cfg:     cfg,
-		exec:    exec,
+		ls:      ls,
 		board:   core.NewBoard(n),
 		jitter:  cfg.JitterPct,
 		batches: batches,
 		durs:    durs,
 	}
-	c.classicEvents.New = func() any {
-		ce := &classicEvent{}
-		ce.fire = func(now time.Duration) {
-			ce.ev.fire(now)
-			ce.ev = laneEvent{} // don't pin requests/workers while pooled
-			c.classicEvents.Put(ce)
-		}
-		return ce
-	}
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
 	}
-	if ls, ok := exec.(laneScheduler); ok {
-		if ls.Lanes() != n {
-			return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", ls.Lanes(), n)
+	c.bridge = newLaneBridge(c, n)
+	ls.setBarrierHook(c.barrier)
+	if sx, ok := exec.(*ShardedExecutor); ok && sx.multi() {
+		if cfg.Resolve == nil {
+			return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", sx.topo.Groups)
 		}
-		c.ls = ls
-		c.bridge = newLaneBridge(c, n)
-		ls.setBarrierHook(c.barrier)
-		if sx, ok := exec.(*ShardedExecutor); ok && sx.multi() {
-			if cfg.Resolve == nil {
-				return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", sx.topo.Groups)
-			}
-			c.shx, c.topo, c.tr, c.resolve = sx, sx.Topology(), sx.tr, cfg.Resolve
-			sx.setControlHook(c.controlFlush)
-		}
+		c.shx, c.topo, c.tr, c.resolve = sx, sx.Topology(), sx.tr, cfg.Resolve
+		sx.setControlHook(c.controlFlush)
 	}
 
 	estCfg := core.DefaultEstimatorConfig()
@@ -307,48 +293,19 @@ func (c *Cluster) Probes(k int) ModuleProbes {
 
 // Inject schedules the request's arrival at the source module, one network
 // hop after sendAt. The caller owns the Request's identity fields (ID, Send,
-// Deadline, DropModule).
+// Deadline, DropModule). On a Driver it is safe from any goroutine.
 func (c *Cluster) Inject(req *Request, sendAt time.Duration) {
 	src := c.modules[c.cfg.Spec.Source()]
-	c.scheduleEvent(-1, src.idx, sendAt+c.cfg.NetDelay,
+	c.ls.inject(src.idx, sendAt+c.cfg.NetDelay,
 		laneEvent{name: "arrive", op: opReceive, m: src, req: req})
 }
 
 // scheduleEvent registers ev on module dst's event lane. src is the module
-// whose event is executing (-1 for host or control context); lane-aware
-// executors route cross-lane schedules through the ordered mailbox — the
-// event travels by value, so the typed hot-path ops allocate nothing —
-// while classic executors wrap it in a closure on the plain global queue.
+// whose event is executing (-1 for control context); cross-lane schedules
+// travel through the ordered mailbox by value, so the typed hot-path ops
+// allocate nothing.
 func (c *Cluster) scheduleEvent(src, dst int, at time.Duration, ev laneEvent) {
-	if c.ls != nil {
-		c.ls.scheduleLaneEvent(src, dst, at, ev)
-		return
-	}
-	c.scheduleClassic(at, ev)
-}
-
-// classicEvent carries one scheduled event across a plain global-queue
-// executor (the classic simulator engine and the live server's wall clock).
-// Carriers are pooled and their callback func bound once at construction,
-// so steady-state classic scheduling allocates nothing per event —
-// previously every schedule heap-escaped a fresh copy of the event through
-// an ev.fire method value, which was the live data plane's dominant
-// allocation under load.
-type classicEvent struct {
-	ev   laneEvent
-	fire func(now time.Duration)
-}
-
-// scheduleClassic hands the event to a plain global-queue executor inside a
-// pooled carrier. Kept out of scheduleEvent — and out of its inliner's
-// reach — so the carrier machinery only exists on the classic path; on the
-// lane path ev stays stack-allocated through scheduleEvent.
-//
-//go:noinline
-func (c *Cluster) scheduleClassic(at time.Duration, ev laneEvent) {
-	ce := c.classicEvents.Get().(*classicEvent)
-	ce.ev = ev
-	c.exec.Schedule(at, ev.name, ce.fire)
+	c.ls.scheduleLaneEvent(src, dst, at, ev)
 }
 
 // control brackets a serial control-context callback (sync, scaling,
@@ -477,29 +434,22 @@ func (c *Cluster) encodeCharges() []WireCharge {
 
 // SyncTick runs one state-synchronization round (§4.1 steps ①-③): every
 // module publishes its snapshot, the policy refreshes from the board, and
-// priority probes record the outcome. On a lane-aware executor it must run
-// in control context (all lanes parked): it reads and writes cross-module
-// state freely.
+// priority probes record the outcome. It must run in control context (all
+// lanes parked): it reads and writes cross-module state freely.
 func (c *Cluster) SyncTick(now time.Duration) {
 	c.control(func() {
-		if c.ls != nil {
-			// Publication is module-local (each module sorts its own state
-			// windows and writes its own board slot), so it fans out across
-			// the shards; the policy refresh below stays serial — it reads
-			// the whole board and draws from the shared policy stream. In a
-			// multi-group topology only owned modules have state to publish;
-			// the board exchange below fills in the peers' rows before the
-			// (replicated) policy refresh reads the full board.
-			c.ls.parallelLanes(func(k int) {
-				if c.owns(k) {
-					c.modules[k].publish(now, c.board)
-				}
-			})
-		} else {
-			for _, m := range c.modules {
-				m.publish(now, c.board)
+		// Publication is module-local (each module sorts its own state
+		// windows and writes its own board slot), so it fans out across the
+		// shards; the policy refresh below stays serial — it reads the
+		// whole board and draws from the shared policy stream. In a
+		// multi-group topology only owned modules have state to publish;
+		// the board exchange below fills in the peers' rows before the
+		// (replicated) policy refresh reads the full board.
+		c.ls.parallelLanes(func(k int) {
+			if c.owns(k) {
+				c.modules[k].publish(now, c.board)
 			}
-		}
+		})
 		if err := c.exchangeBoard(); err != nil {
 			c.fail(err)
 			return
@@ -649,17 +599,14 @@ func (c *Cluster) flushCharges() {
 }
 
 // retired reports whether module k should treat the request as terminated:
-// globally committed, or — in lane mode — terminated by module k itself in
-// the current window. A termination decided by *another* module inside the
-// current window becomes visible at the next barrier; that bounded, fully
+// globally committed, or terminated by module k itself in the current
+// window. A termination decided by *another* module inside the current
+// window becomes visible at the next barrier; that bounded, fully
 // deterministic visibility delay is the ordering contract that lets lanes
 // run concurrently.
 func (c *Cluster) retired(req *Request, k int) bool {
 	if req.Dropped || req.Finished {
 		return true
-	}
-	if c.bridge == nil {
-		return false
 	}
 	if c.inControl && c.shx != nil {
 		// Multi-group control context defers terminations that a single
@@ -672,13 +619,13 @@ func (c *Cluster) retired(req *Request, k int) bool {
 	return c.bridge.sees(k, req)
 }
 
-// drop marks a request dropped at module k and notifies the host. In lane
-// mode the decision is deferred to the next barrier commit, keeping the
+// drop marks a request dropped at module k and notifies the host. Inside a
+// window the decision is deferred to the next barrier commit, keeping the
 // shared Request untouched while other lanes run. Multi-group control
 // context also defers (committed at the post-event control flush): the
 // decision is owner-local knowledge until exchanged.
 func (c *Cluster) drop(req *Request, k int, now time.Duration) {
-	if c.bridge != nil && (!c.inControl || c.shx != nil) {
+	if !c.inControl || c.shx != nil {
 		if c.retired(req, k) {
 			return
 		}
@@ -769,9 +716,9 @@ func (c *Cluster) pickBranch(mod pipeline.Module) int {
 }
 
 // complete finalizes a request that finished the sink module k. Like drop,
-// it defers to the barrier commit in lane mode.
+// it defers to the barrier commit inside a window.
 func (c *Cluster) complete(req *Request, k int, now time.Duration) {
-	if c.bridge != nil && (!c.inControl || c.shx != nil) {
+	if !c.inControl || c.shx != nil {
 		if c.retired(req, k) {
 			return
 		}

@@ -2,21 +2,21 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"pard/internal/depq"
 )
 
-// ShardedExecutor executes the scheduling core with the global event heap
+// ShardedExecutor executes the scheduling core with its event queue
 // partitioned into per-module lanes (one depq-backed queue per module) plus a
 // serial control lane for cluster-wide events (state sync, scaling, injected
 // failures). Independent modules of a pipeline advance concurrently inside
 // lookahead windows; a low-watermark barrier on virtual time keeps the
 // execution deterministic for ANY shard count:
 //
-//   - Within a lane, events fire in (timestamp, insertion-order) order, the
-//     same contract as the global heap.
+//   - Within a lane, events fire in (timestamp, insertion-order) order.
 //   - Lanes advance together through windows [low, high): low is the minimum
 //     pending lane timestamp across all lanes (the low watermark), high is
 //     low + lookahead, clamped to the next control event. Cross-lane
@@ -36,7 +36,8 @@ import (
 // same-time cross-lane messages are exchanged through fixpoint sub-rounds;
 // execution stays correct and deterministic, merely without parallelism.
 //
-// A ShardedExecutor is single-use: build, schedule initial events, Run.
+// A simulation builds the executor, schedules its initial events and calls
+// Run; a live host drives it in increments through a Driver (RunUntil).
 //
 // With a multi-group Topology (NewShardedExecutorTopo), the executor is one
 // lane group of a replicated cluster: it executes only the lanes it owns,
@@ -235,12 +236,6 @@ func (x *ShardedExecutor) fail(err error) {
 // Lanes returns the lane count (the cluster's module count).
 func (x *ShardedExecutor) Lanes() int { return len(x.lanes) }
 
-// Shards returns the effective worker count.
-func (x *ShardedExecutor) Shards() int { return x.shards }
-
-// Lookahead returns the conservative window size.
-func (x *ShardedExecutor) Lookahead() time.Duration { return x.lookahead }
-
 // Now returns the executor's committed virtual time (the barrier frontier).
 // Lane callbacks should use the time passed to them, which may run ahead of
 // the frontier inside a window.
@@ -262,8 +257,7 @@ func (x *ShardedExecutor) Schedule(at time.Duration, name string, fn func(now ti
 }
 
 // Ticker repeatedly schedules fn on the control lane every period until the
-// predicate returns false. The first tick fires at Now()+period, mirroring
-// sim.Engine.Ticker.
+// predicate returns false. The first tick fires at Now()+period.
 func (x *ShardedExecutor) Ticker(period time.Duration, name string, fn func(now time.Duration) bool) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sched: Ticker period must be positive, got %v", period))
@@ -278,10 +272,10 @@ func (x *ShardedExecutor) Ticker(period time.Duration, name string, fn func(now 
 	x.Schedule(x.frontier+period, name, tick)
 }
 
-// scheduleLane registers fn on lane dst at absolute time at; it is the
-// closure-form convenience over scheduleLaneEvent.
-func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
-	x.scheduleLaneEvent(src, dst, at, laneEvent{name: name, fn: fn})
+// inject schedules a host event on lane dst (before Run, or from control
+// context).
+func (x *ShardedExecutor) inject(dst int, at time.Duration, ev laneEvent) {
+	x.scheduleLaneEvent(-1, dst, at, ev)
 }
 
 // scheduleLaneEvent registers ev on lane dst at absolute time at. src
@@ -516,14 +510,25 @@ func (x *ShardedExecutor) stepExchange(tCtrl time.Duration, okC bool, tLane time
 // barrier-synchronized lane windows until every queue drains. It returns the
 // final virtual time. Multi-group hosts must check Err afterwards: a
 // transport failure or lockstep divergence aborts the loop cleanly.
-func (x *ShardedExecutor) Run() time.Duration {
+func (x *ShardedExecutor) Run() time.Duration { return x.RunUntil(math.MaxInt64) }
+
+// RunUntil is Run bounded at t: it opens only control rounds and lane
+// windows whose low watermark is <= t, then returns with everything later
+// still queued, so a later call resumes exactly where this one stopped.
+// Events a host schedules in between join the queues as if they had been
+// there from the start, provided they land at or after the frontier: with
+// lookahead = the per-hop delay, a request injected at host time >= t
+// arrives at or after every window this call could open, so driving the
+// executor in increments builds the same windows as one Run. Must not be
+// called from inside a callback.
+func (x *ShardedExecutor) RunUntil(t time.Duration) time.Duration {
 	if x.running {
-		panic("sched: ShardedExecutor.Run called twice")
+		panic("sched: ShardedExecutor run re-entered from a callback")
 	}
 	x.running = true
 	if x.shards > 1 {
 		x.pool = newShardPool(x.lanes, x.shards)
-		defer x.pool.stop()
+		defer func() { x.pool.stop(); x.pool = nil }()
 	}
 	defer func() {
 		x.running = false
@@ -551,9 +556,15 @@ func (x *ShardedExecutor) Run() time.Duration {
 			return x.frontier
 		case okC && (!okL || tCtrl <= tLane):
 			// Control precedes lane events at equal timestamps.
+			if tCtrl > t {
+				return x.frontier
+			}
 			x.frontier = tCtrl
 			x.runControl(tCtrl)
 		default:
+			if tLane > t {
+				return x.frontier
+			}
 			hi := tLane + x.lookahead
 			if okC && tCtrl < hi {
 				hi = tCtrl
@@ -574,6 +585,16 @@ func (x *ShardedExecutor) Run() time.Duration {
 		}
 	}
 	return x.frontier
+}
+
+// next returns the earliest pending timestamp over the control lane and
+// every lane: the low watermark the next RunUntil would open.
+func (x *ShardedExecutor) next() (time.Duration, bool) {
+	t, ok := x.ctrl.peek()
+	if l, okL := x.minLane(); okL && (!ok || l < t) {
+		t, ok = l, true
+	}
+	return t, ok
 }
 
 // FiredControl returns the replicated control-lane event count.

@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// scheduleLane registers fn on lane dst at absolute time at: the
+// closure-form convenience over scheduleLaneEvent.
+func (x *ShardedExecutor) scheduleLane(src, dst int, at time.Duration, name string, fn func(time.Duration)) {
+	x.scheduleLaneEvent(src, dst, at, laneEvent{name: name, fn: fn})
+}
+
 // logOf runs a scripted cascade on a fresh executor and returns the per-lane
 // firing logs plus the control log. The script seeds initial events; each
 // lane callback appends "name@time" to its lane's log (lane callbacks only

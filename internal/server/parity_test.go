@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,14 +11,25 @@ import (
 	"pard/internal/trace"
 )
 
-// TestVirtualWallClockParity proves the tentpole claim of the shared
+// TestVirtualWallClockParity proves the central claim of the shared
 // scheduling core: driving the *same* DAG workload through the
-// discrete-event simulator (virtual event-heap clock) and through the live
-// server shell under an injected fake wall clock produces *identical*
-// per-request outcomes — every drop at the same module, every completion at
-// the same virtual instant — and identical per-sync priority decisions
-// (load factor and HBF/LBF mode).
+// discrete-event simulator (the lane engine run to completion) and through
+// the live server shell (the same lane engine advanced by wakes of an
+// injected fake wall clock) produces *identical* per-request outcomes —
+// every drop at the same module, every completion at the same virtual
+// instant — and identical per-sync priority decisions (load factor and
+// HBF/LBF mode). Both sides commit drops and completions at the same
+// window barriers: with a 1 ms hop as the lookahead, a request submitted
+// at t arrives past every window the server has opened by t. The
+// simulator runs at one shard and at one shard per module (the lane
+// engine's output does not depend on the shard count).
 func TestVirtualWallClockParity(t *testing.T) {
+	for _, shards := range []int{1, 5} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { clockParity(t, shards) })
+	}
+}
+
+func clockParity(t *testing.T, shards int) {
 	const (
 		seed = 9
 		sync = 250 * time.Millisecond
@@ -32,14 +44,10 @@ func TestVirtualWallClockParity(t *testing.T) {
 		Seed:     5,
 	})
 
-	// Side A: the simulator, pinned to the classic engine: the live shell
-	// drives the core through a classic executor (immediate commits, global
-	// event order), so clock parity is asserted engine-like-for-like. The
-	// lane engine orders equal-timestamp events differently and is covered
-	// by its own differential harness in internal/sched.
+	// Side A: the simulator with its defaults.
 	res, err := simgpu.Run(simgpu.Config{
 		Spec:         spec,
-		Engine:       simgpu.EngineClassic,
+		Shards:       shards,
 		PolicyName:   "pard",
 		Trace:        tr,
 		Seed:         seed,

@@ -1,10 +1,11 @@
 // Package server is the wall-clock serving runtime: a thin shell over the
 // shared scheduling core (internal/sched) — the same controller / worker /
-// policy state machine the discrete-event simulator runs — instantiated
-// with wall-clock timers and an HTTP data plane. Model execution is
-// simulated by letting batch timers elapse for the profiled duration; the
-// scheduler code paths (queueing, batching, dropping, priority, state sync)
-// are literally the simulator's, byte for byte.
+// policy state machine and the same lane engine the discrete-event
+// simulator runs — driven by wall-clock timer wakes, with an HTTP data
+// plane. Model execution is simulated by letting batch events fall due at
+// the profiled duration; the scheduler code paths (queueing, batching,
+// dropping, priority, state sync, barrier commits) are literally the
+// simulator's, byte for byte.
 //
 // The live runtime serves any validated pipeline, chains and DAGs alike:
 // fan-out dispatches a request copy to every successor, fan-in merges when
@@ -56,11 +57,12 @@ type Config struct {
 	Scaling sched.ScalingConfig
 	// Probes selects optional core recordings (diagnostics and tests).
 	Probes sched.ProbeConfig
-	// Exec overrides the executor driving the core. Nil selects wall-clock
-	// timers; tests inject a deterministic executor (sched.ManualExecutor)
-	// to replay workloads reproducibly. Concurrent Submit calls require a
-	// concurrency-safe executor (the wall-clock default is; ManualExecutor
-	// must be driven from one goroutine).
+	// Exec overrides the clock and wakes the core's lane engine runs on
+	// (through a sched.Driver). Nil selects wall-clock timers; tests inject
+	// a deterministic executor (sched.ManualExecutor) to replay workloads
+	// reproducibly. Concurrent Submit calls require a concurrency-safe
+	// executor (the wall-clock default is; ManualExecutor must be driven
+	// from one goroutine).
 	Exec sched.Executor
 	// Admission configures estimator-driven admission control. The zero
 	// value disables the gate, leaving the submit path bit-identical to a
@@ -166,6 +168,7 @@ type Server struct {
 	cfg  Config
 	exec sched.Executor
 	wall *sched.TimerExecutor // owned executor, nil when injected
+	drv  *sched.Driver        // the core's lane engine, woken by exec
 	cl   *sched.Cluster
 
 	// nextID allocates request IDs off the submit lock: IDs are issued in
@@ -173,7 +176,7 @@ type Server struct {
 	nextID atomic.Uint64
 
 	// Admission-gate state. gateEst is a private estimator refreshed once
-	// per sync period on the executor (never concurrently — its rng draw
+	// per sync period on the control lane (never concurrently — its rng draw
 	// order is deterministic); gatePredicted caches its entry-latency
 	// prediction in nanoseconds so the per-request admit check is one
 	// atomic load. inFlight counts admitted-but-unresolved requests for
@@ -195,8 +198,9 @@ type Server struct {
 	slab     []pendingReq
 	slabNext int
 
-	// cmu guards the metrics collector (finish callbacks run on the
-	// executor; Stop's shutdown drain runs on the caller's goroutine).
+	// cmu guards the metrics collector (finish callbacks run in the lane
+	// engine's barrier commits; Stop's shutdown drain runs on the caller's
+	// goroutine).
 	cmu sync.Mutex
 	col *metrics.Collector
 }
@@ -231,6 +235,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if len(cfg.Workers) != n {
 		return nil, fmt.Errorf("server: %d worker counts for %d modules", len(cfg.Workers), n)
+	}
+	if cfg.Scaling.Enabled && cfg.Scaling.Period <= 0 {
+		return nil, fmt.Errorf("server: scaling period %v <= 0", cfg.Scaling.Period)
 	}
 	if cfg.Admission.SLOFactor < 0 {
 		return nil, fmt.Errorf("server: admission SLO factor %v < 0", cfg.Admission.SLOFactor)
@@ -270,6 +277,7 @@ func New(cfg Config) (*Server, error) {
 		s.wall = sched.NewTimerExecutor()
 		s.exec = s.wall
 	}
+	s.drv = sched.NewDriver(s.exec, n, cfg.NetDelay)
 	cl, err := sched.New(sched.Config{
 		Spec:       cfg.Spec,
 		Lib:        cfg.Lib,
@@ -283,7 +291,7 @@ func New(cfg Config) (*Server, error) {
 		Probes:     cfg.Probes,
 		OnDone:     s.onDone,
 		OnDrop:     s.onDrop,
-	}, s.exec)
+	}, s.drv)
 	if err != nil {
 		if s.wall != nil {
 			s.wall.Stop()
@@ -295,7 +303,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Start launches the periodic state-synchronization (and, when enabled,
-// scaling) loops on the executor.
+// admission and scaling) ticks on the core's control lane.
 func (s *Server) Start() {
 	s.pmu.Lock()
 	if s.started || s.stopped {
@@ -308,8 +316,8 @@ func (s *Server) Start() {
 	s.every(s.cfg.SyncPeriod, "sync", s.cl.SyncTick)
 	if s.cfg.Admission.Enabled {
 		// Scheduled after "sync" so that at tied timestamps the modules
-		// publish first and the gate reads the fresh board (executors fire
-		// equal-time events in schedule order).
+		// publish first and the gate reads the fresh board (the control
+		// lane fires equal-time events in schedule order).
 		s.every(s.cfg.SyncPeriod, "admission", s.refreshAdmission)
 	}
 	if s.cfg.Scaling.Enabled {
@@ -319,8 +327,8 @@ func (s *Server) Start() {
 
 // refreshAdmission recomputes the gate's cached entry-latency prediction
 // from the board: Q_src + d_src + Lsub(source) — Eq. 1 evaluated at the
-// pipeline entry. Runs on the executor once per sync period; submitters only
-// ever read the cached atomic.
+// pipeline entry. Runs on the control lane once per sync period; submitters
+// only ever read the cached atomic.
 func (s *Server) refreshAdmission(now time.Duration) {
 	b := s.cl.Board()
 	s.gateEst.Refresh(b)
@@ -343,17 +351,15 @@ func (s *Server) admitNow() bool {
 	return s.gatePredicted.Load() <= s.sloLimitNs
 }
 
-// every runs fn on the executor each period until the server stops.
+// every runs fn on the control lane each period until the server stops.
 func (s *Server) every(period time.Duration, name string, fn func(now time.Duration)) {
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
+	s.drv.Ticker(period, name, func(now time.Duration) bool {
 		if s.isStopped() {
-			return
+			return false
 		}
 		fn(now)
-		s.exec.Schedule(now+period, name, tick)
-	}
-	s.exec.Schedule(s.exec.Now()+period, name, tick)
+		return true
+	})
 }
 
 func (s *Server) isStopped() bool {
@@ -408,7 +414,7 @@ func (s *Server) Submit() <-chan Response {
 // and list pointers; a submit racing Stop either resolves here (stop latch
 // observed), resolves in Stop's drain (registered before the latch), or
 // resolves through the core — exactly once in every interleaving, because
-// the arrival timer armed after the executor stopped never fires.
+// the wake armed after the executor stopped never fires.
 func (s *Server) submit() *pendingReq {
 	now := s.exec.Now()
 	id := s.nextID.Add(1) - 1

@@ -11,6 +11,7 @@ import (
 
 	"pard/internal/pipeline"
 	"pard/internal/profile"
+	"pard/internal/sched"
 )
 
 // fastLib returns a profile library with sub-millisecond models so live
@@ -60,6 +61,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Spec: spec, Lib: fastLib(t), PolicyName: "bogus"}); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+	if _, err := New(Config{Spec: spec, Lib: fastLib(t), Scaling: sched.ScalingConfig{Enabled: true}}); err == nil {
+		t.Fatal("scaling without a tick period accepted")
 	}
 }
 

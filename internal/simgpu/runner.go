@@ -10,7 +10,6 @@ import (
 	"pard/internal/core"
 	"pard/internal/metrics"
 	"pard/internal/sched"
-	"pard/internal/sim"
 )
 
 // Result is everything one simulation run produces.
@@ -46,14 +45,11 @@ type Result struct {
 }
 
 // Runner executes one configuration: the shared scheduling core
-// (internal/sched) instantiated on a virtual clock — the per-module lane
-// engine by default, or the deprecated classic global event heap when
-// cfg.Engine is EngineClassic — plus trace injection and result
-// collection.
+// (internal/sched) on the per-module lane engine in virtual time, plus
+// trace injection and result collection.
 type Runner struct {
 	cfg Config
-	eng *sim.Engine            // classic engine (nil on the lane engine)
-	shx *sched.ShardedExecutor // lane engine (nil when classic)
+	shx *sched.ShardedExecutor
 	cl  *sched.Cluster
 
 	requests    []*sched.Request
@@ -102,11 +98,7 @@ func New(cfg Config) (*Runner, error) {
 	}
 
 	r := &Runner{cfg: full}
-	var exec sched.Executor
 	switch {
-	case full.Engine == EngineClassic:
-		r.eng = sim.New(full.Seed)
-		exec = sched.NewSimExecutor(r.eng)
 	case full.Remote != nil:
 		// One lane group of a multi-group topology: the full cluster is
 		// built as a replica, but only owned lanes (module k with
@@ -120,12 +112,10 @@ func New(cfg Config) (*Runner, error) {
 			return nil, err
 		}
 		r.shx = shx
-		exec = shx
 	default:
-		// Lane engine: one event lane per module, up to Shards workers,
-		// conservative lookahead = the per-hop network delay.
+		// One event lane per module, up to Shards workers, conservative
+		// lookahead = the per-hop network delay.
 		r.shx = sched.NewShardedExecutor(full.Spec.N(), full.Shards, full.NetDelay)
-		exec = r.shx
 	}
 	cl, err := sched.New(sched.Config{
 		Spec:             full.Spec,
@@ -146,7 +136,7 @@ func New(cfg Config) (*Runner, error) {
 		OnDone:           r.onDone,
 		OnDrop:           r.onDrop,
 		Resolve:          r.resolveRequest,
-	}, exec)
+	}, r.shx)
 	if err != nil {
 		return nil, err
 	}
@@ -217,20 +207,15 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, fmt.Errorf("simgpu: runner already ran")
 	}
 	r.inject()
-
-	if r.shx != nil {
-		r.runSharded()
-		if err := r.shx.Err(); err != nil {
+	r.runSharded()
+	if err := r.shx.Err(); err != nil {
+		return nil, err
+	}
+	if r.tr != nil {
+		if err := r.finishExchange(); err != nil {
+			r.tr.Abort(err)
 			return nil, err
 		}
-		if r.tr != nil {
-			if err := r.finishExchange(); err != nil {
-				r.tr.Abort(err)
-				return nil, err
-			}
-		}
-	} else {
-		r.runClassic()
 	}
 	return r.buildResult(), nil
 }
@@ -303,36 +288,6 @@ func (r *Runner) moduleProbes(k int) sched.ModuleProbes {
 	return r.cl.Probes(k)
 }
 
-// runClassic drives the single global event heap.
-func (r *Runner) runClassic() {
-	// State synchronization tick (§4.1 steps ①-③).
-	r.eng.Ticker(r.cfg.SyncPeriod, "sync", func(e *sim.Engine) bool {
-		now := e.Now()
-		r.cl.SyncTick(now)
-		return !r.drained(now)
-	})
-
-	// Scaling engine tick. With a TotalGPUs budget, per-module demand is
-	// granted proportionally when the cluster is oversubscribed.
-	if r.cfg.Scaling.Enabled {
-		r.eng.Ticker(r.cfg.Scaling.Period, "scale", func(e *sim.Engine) bool {
-			now := e.Now()
-			r.cl.ScaleTick(now)
-			return !r.drained(now)
-		})
-	}
-
-	// Injected machine failures (§2).
-	for _, f := range r.cfg.Failures {
-		f := f
-		r.eng.Schedule(f.At, "failure", func(e *sim.Engine) {
-			r.cl.Crash(f.Module, e.Now(), f.Count)
-		})
-	}
-
-	r.eng.Run(0)
-}
-
 // runSharded drives the per-module lane engine. Sync, scaling and failure
 // events run on the executor's serial control lane (every module lane
 // parked), exactly the cross-module context they need.
@@ -392,14 +347,9 @@ func (r *Runner) buildResult() *Result {
 		col.Add(rec)
 	}
 
-	fired := uint64(0)
-	switch {
-	case r.reports != nil:
+	fired := r.shx.Fired()
+	if r.reports != nil {
 		fired = r.fired // control events once + every group's owned lanes
-	case r.shx != nil:
-		fired = r.shx.Fired()
-	case r.eng != nil:
-		fired = r.eng.Fired()
 	}
 	res := &Result{
 		Collector:  col,

@@ -1,65 +1,71 @@
 package sweep
 
 import (
+	"strings"
 	"testing"
+	"time"
 
+	"pard/internal/metrics"
 	"pard/internal/simgpu"
 )
 
-// TestEngineCacheIsolation is the engine-flip migration test: a cache dir
-// populated under one execution engine must never serve the other. The two
-// engines order equal-timestamp events differently, so a silently shared
-// entry would be a wrong result, not a fast one. Isolation comes from the
-// mandatory |eng= key marker (and, transitively, from the distinct derived
-// seeds those keys imply).
+// TestEngineCacheIsolation is the engine-removal migration guard. Cache
+// dirs written while the classic engine still existed may hold entries
+// under |eng=classic keys; those results came from a different
+// equal-timestamp event order, so serving one to a lane run would be a
+// wrong result, not a fast one. A lane run must never read such an entry,
+// and must never overwrite it, whichever of the two reached the cache
+// first.
 func TestEngineCacheIsolation(t *testing.T) {
-	laneSpec := smokeSpec()    // engine default = lane
-	classicSpec := smokeSpec() // explicit deprecation-cycle knob
-	classicSpec.Opts.Engine = simgpu.EngineClassic
-	laneKey, classicKey := "run|"+laneSpec.Key(), "run|"+classicSpec.Key()
-	if laneKey == classicKey {
-		t.Fatalf("lane and classic specs share a cache key: %q", laneKey)
+	spec := smokeSpec()
+	laneKey := "run|" + spec.Key()
+	classicKey := strings.Replace(laneKey, "|eng=lane", "|eng=classic", 1)
+	if classicKey == laneKey {
+		t.Fatalf("lane key %q carries no |eng=lane marker", laneKey)
+	}
+	// A recognizable stand-in for an entry an older binary computed on the
+	// classic engine.
+	classic := &simgpu.Result{PolicyName: "classic-era", SimEvents: 424242,
+		Collector: metrics.NewCollector(time.Second, 1)}
+	isClassic := func(v any) bool {
+		r, ok := v.(*simgpu.Result)
+		return ok && r.PolicyName == "classic-era" && r.SimEvents == 424242
 	}
 
-	// Both directions: populate with one engine, probe with a fresh process
-	// (a fresh Engine over the same dir) for both keys.
-	dirs := []struct {
-		name         string
-		warm, cold   Spec
-		warmK, coldK string
-	}{
-		{"classic-then-lane", classicSpec, laneSpec, classicKey, laneKey},
-		{"lane-then-classic", laneSpec, classicSpec, laneKey, classicKey},
-	}
-	for _, d := range dirs {
-		t.Run(d.name, func(t *testing.T) {
+	for _, classicFirst := range []bool{true, false} {
+		name := "lane-then-classic"
+		if classicFirst {
+			name = "classic-then-lane"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			e1 := diskEngine(t, dir, 1)
-			if _, err := e1.Run(d.warm); err != nil {
+			if classicFirst {
+				e1.Install(classicKey, classic)
+			}
+			lane, err := e1.Run(spec)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if isClassic(lane) {
+				t.Fatal("lane run was served the classic entry")
+			}
+			if !classicFirst {
+				e1.Install(classicKey, classic)
 			}
 
+			// A fresh process over the same dir sees both entries intact.
 			e2 := diskEngine(t, dir, 1)
-			if _, ok := e2.Lookup(d.warmK); !ok {
-				t.Fatalf("%s: populated entry %q not served from disk", d.name, d.warmK)
+			v, ok := e2.Lookup(classicKey)
+			if !ok || !isClassic(v) {
+				t.Fatalf("classic entry lost or overwritten: %v, %v", ok, v)
 			}
-			if _, ok := e2.Lookup(d.coldK); ok {
-				t.Fatalf("%s: entry for %q served to the other engine (%q)", d.name, d.warmK, d.coldK)
+			v, ok = e2.Lookup(laneKey)
+			if !ok || isClassic(v) {
+				t.Fatalf("lane entry missing or replaced by the classic one: %v", ok)
 			}
-			// And an actual run on the other engine recomputes rather than
-			// reusing the warm entry: the results must differ (different
-			// engine, different derived seed).
-			r1, err := e1.Run(d.warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := e2.Run(d.cold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1.SimEvents == r2.SimEvents && r1.Summary.GPUTotal == r2.Summary.GPUTotal &&
-				r1.Summary.Good == r2.Summary.Good {
-				t.Fatalf("%s: cross-engine runs produced identical results — entry likely shared", d.name)
+			if again, err := e2.Run(spec); err != nil || again.SimEvents != lane.SimEvents {
+				t.Fatalf("lane rerun from disk: %v, %d events, want %d", err, again.SimEvents, lane.SimEvents)
 			}
 		})
 	}

@@ -300,68 +300,75 @@ func All[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 // AllCtx is All with cancellation plumbed through the worker pool: when ctx
 // is canceled — by the caller, or internally as soon as any job fails — jobs
 // that have not yet claimed a worker slot return ctx's error without
-// running. Jobs already executing finish (simulations are not preemptible)
-// and still enter the cache, so a retried sweep resumes where this one
-// stopped.
+// running. Slots are claimed in input order. Jobs already executing finish
+// (simulations are not preemptible) and still enter the cache, so a retried
+// sweep resumes where this one stopped.
 func AllCtx[T any](ctx context.Context, e *Engine, jobs []Job[T]) ([]T, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
+	finish := func(i int, v any, err error) {
+		if err == nil {
+			out[i] = v.(T)
+		} else {
+			cancel()
+		}
+		errs[i] = err
+	}
 	var wg sync.WaitGroup
+	// Worker slots are claimed here, in input order, not by racing job
+	// goroutines: a job that fails cancels before it frees its slot, so
+	// once job i fails no job after i can start.
 	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j Job[T]) {
-			defer wg.Done()
-			var v any
-			var err error
-			if f, ok := e.peek(j.Key); ok {
-				// Already cached or in flight: wait without holding a
-				// worker slot, so duplicate keys don't shrink the pool.
+		if f, ok := e.peek(j.Key); ok {
+			// Already cached or in flight: wait without holding a worker
+			// slot, so duplicate keys don't shrink the pool.
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
 				select {
 				case <-f.done:
-					v, err = f.val, f.err
 				case <-ctx.Done():
 					// Both cases can be ready at once; prefer the flight's
 					// real outcome so the recorded error (and hence which
-					// failure a sweep reports) never depends on which select
-					// case won the race.
+					// failure a sweep reports) never depends on which
+					// select case won the race.
 					select {
 					case <-f.done:
-						v, err = f.val, f.err
 					default:
 						errs[i] = ctx.Err()
 						return
 					}
 				}
-			} else {
-				select {
-				case e.sem <- struct{}{}:
-				case <-ctx.Done():
-					errs[i] = ctx.Err()
-					return
-				}
-				// Both select cases can be ready at once; re-check so a slot
-				// freed by the failing job is never used to start new work.
-				if cerr := ctx.Err(); cerr != nil {
-					<-e.sem
-					errs[i] = cerr
-					return
-				}
-				v, err = e.Do(j.Key, func(seed int64) (any, error) { return j.Run(seed) })
-				if err != nil {
-					// Cancel before releasing the slot: waiters observe the
-					// cancellation no later than the slot becoming free.
-					cancel()
-				}
-				<-e.sem
-			}
-			if err == nil {
-				out[i] = v.(T)
-			} else {
+				finish(i, f.val, f.err)
+			}(i)
+			continue
+		}
+		select {
+		case e.sem <- struct{}{}:
+		case <-ctx.Done():
+			errs[i] = ctx.Err()
+			continue
+		}
+		// Both select cases can be ready at once; re-check so a slot freed
+		// by the failing job is never used to start new work.
+		if cerr := ctx.Err(); cerr != nil {
+			<-e.sem
+			errs[i] = cerr
+			continue
+		}
+		wg.Add(1)
+		go func(i int, j Job[T]) {
+			defer wg.Done()
+			v, err := e.Do(j.Key, func(seed int64) (any, error) { return j.Run(seed) })
+			if err != nil {
+				// Cancel before releasing the slot: the launch loop
+				// observes the cancellation no later than the free slot.
 				cancel()
 			}
-			errs[i] = err
+			<-e.sem
+			finish(i, v, err)
 		}(i, j)
 	}
 	wg.Wait()

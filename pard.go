@@ -150,16 +150,6 @@ type (
 	MetricsCollector = metrics.Collector
 )
 
-// Execution engines for SimConfig.Engine. The lane engine (per-module event
-// lanes, deterministic for any shard count) is the default; the classic
-// global event heap survives one deprecation cycle to reproduce pre-flip
-// numbers. The two order equal-timestamp events differently, so their
-// results are not interchangeable.
-const (
-	EngineLane    = simgpu.EngineLane
-	EngineClassic = simgpu.EngineClassic
-)
-
 // Policies lists every registered dropping policy: "pard", the baselines
 // ("nexus", "clipper++", "naive") and the Table 1 ablations.
 func Policies() []string { return policy.Names() }
