@@ -76,16 +76,12 @@ func (d *Driver) Ticker(period time.Duration, name string, fn func(now time.Dura
 // inject posts a host event onto lane dst (Cluster.Inject).
 func (d *Driver) inject(dst int, at time.Duration, ev laneEvent) { d.post(dst, at, ev) }
 
-// The cluster's in-run scheduling goes straight to the engine: it only
-// happens inside a wake.
+// The cluster's in-run scheduling and commits go straight to the engine:
+// they only happen inside a wake.
 func (d *Driver) scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent) {
 	d.x.scheduleLaneEvent(src, dst, at, ev)
 }
-func (d *Driver) setBarrierHook(fn func() error)  { d.x.setBarrierHook(fn) }
-func (d *Driver) parallelLanes(fn func(lane int)) { d.x.parallelLanes(fn) }
-
-// Lanes returns the lane count.
-func (d *Driver) Lanes() int { return d.x.Lanes() }
+func (d *Driver) engine() *ShardedExecutor { return d.x }
 
 // post queues a host event and makes sure a wake is armed no later than its
 // timestamp.

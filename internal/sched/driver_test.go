@@ -122,7 +122,7 @@ func TestDriverMatchesSimulation(t *testing.T) {
 	var tr engineTrace
 	man := NewManualExecutor()
 	d := NewDriver(man, cascadeLanes, cascadeLook)
-	seed := cascadeWorkload(cascadeLanes, d.scheduleLaneEvent, d.setBarrierHook, &tr)
+	seed := cascadeWorkload(cascadeLanes, d.scheduleLaneEvent, d.x.setBarrierHook, &tr)
 	d.Ticker(100, "tick", tickLog(&tr, 25))
 	for i := 0; i < cascadeSeeds; i++ {
 		send := time.Duration(i * seedGap)

@@ -46,11 +46,11 @@ func sortPosts(posts []post) {
 	})
 }
 
-// laneScheduler is the contract the lane engine offers the cluster:
-// per-lane event scheduling from an identified source context plus a
-// barrier hook for intent commits. *ShardedExecutor and *Driver implement
-// it; the clock-only executors (TimerExecutor, ManualExecutor) do not, and
-// sched.New refuses them.
+// laneScheduler is what a cluster needs from the executor it is built on:
+// per-lane event scheduling from an identified source context, a way for
+// hosts to inject arrivals, and the lane engine itself. *ShardedExecutor
+// and *Driver implement it; the clock-only executors (TimerExecutor,
+// ManualExecutor) do not, and sched.New refuses them.
 type laneScheduler interface {
 	Executor
 	// inject schedules a host event (a request arrival) on lane dst. A
@@ -60,14 +60,9 @@ type laneScheduler interface {
 	// or -1 for host/control/barrier context. The event travels by value
 	// (typed hot-path ops carry no closure; see laneEvent).
 	scheduleLaneEvent(src, dst int, at time.Duration, ev laneEvent)
-	// setBarrierHook registers the cluster's barrier commit; a non-nil
-	// error aborts the run (multi-group transport failures).
-	setBarrierHook(func() error)
-	// parallelLanes fans a lane-local function out over all lanes from
-	// control context.
-	parallelLanes(fn func(lane int))
-	// Lanes returns the executor's lane count (must equal the module count).
-	Lanes() int
+	// engine returns the lane engine the cluster schedules on and commits
+	// through.
+	engine() *ShardedExecutor
 }
 
 // intent is one deferred request termination.
@@ -123,10 +118,9 @@ func (b *laneBridge) sees(k int, req *Request) bool {
 }
 
 // seesAny reports whether ANY module holds a pending termination for req.
-// Multi-group control context uses it: under a single group, control-context
-// terminations commit immediately and are visible across modules within the
-// same control event; deferred multi-group terminations must reproduce that
-// visibility, so the whole pending set counts.
+// Control context uses it: a control event runs with every lane parked, so
+// a termination it decides at one module is visible to every module for the
+// rest of the event, even though it commits only at the hook after it.
 func (b *laneBridge) seesAny(req *Request) bool {
 	for k := range b.retired {
 		if _, ok := b.retired[k][req]; ok {
@@ -156,17 +150,22 @@ func (b *laneBridge) encodeIntents() []WireIntent {
 // (virtual time, module, decision order) order — the identical total order
 // a single group's commit produces, because equal (time, module) runs come
 // from exactly one group and the concatenation preserves their decision
-// order. resolve maps wire request IDs onto this group's replica slab.
-func (b *laneBridge) commitWire(all []BarrierMsg, resolve func(uint64) *Request) error {
+// order. Wire request IDs resolve onto this group's replica slab.
+func (b *laneBridge) commitWire(all []BarrierMsg) error {
 	merged := b.scratch[:0]
 	for i := range all {
 		for _, wi := range all[i].Intents {
-			req := resolve(wi.Req)
+			k, err := b.cl.peerModule(wi.Mod, all[i].Group, "intent")
+			if err != nil {
+				b.scratch = merged[:0]
+				return err
+			}
+			req := b.cl.resolve(wi.Req)
 			if req == nil {
 				b.scratch = merged[:0]
 				return fmt.Errorf("sched: intent for unknown request %d from group %d", wi.Req, all[i].Group)
 			}
-			merged = append(merged, mergedIntent{intent: intent{at: wi.At, req: req, drop: wi.Drop}, mod: int(wi.Mod)})
+			merged = append(merged, mergedIntent{intent: intent{at: wi.At, req: req, drop: wi.Drop}, mod: k})
 		}
 	}
 	b.apply(merged)

@@ -4,8 +4,10 @@
 // budget accounting, the scaling engine and DAG fan-out/merge routing.
 //
 // The core always runs on the lane engine: one event lane per module plus a
-// serial control lane, with drops and completions committed at window
-// barriers. The same state machine runs in two places:
+// serial control lane. Drops and completions have one commit point, the
+// engine's barrier hook, which runs after every lane window and after every
+// control event; a single-group run is the lane-group run with zero peers.
+// The same state machine runs in two places:
 //
 //   - the discrete-event simulator (internal/simgpu) drives the engine
 //     (ShardedExecutor) to completion on virtual time, and
@@ -108,20 +110,22 @@ type Cluster struct {
 	batches []int
 	durs    []time.Duration
 
-	// The lane engine: lanes defer request terminations to barrier commits
-	// and exchange cross-module events through its ordered mailbox.
+	// The lane engine: lanes defer request terminations to the barrier
+	// hook's commits and exchange cross-module events through its ordered
+	// mailbox. ls is the executor the cluster was built on (a Driver
+	// forwards host injections); shx is the engine itself.
 	ls     laneScheduler
+	shx    *ShardedExecutor
 	bridge *laneBridge
 	// inControl marks serial control context (sync/scale/failure
-	// callbacks), where a single group commits terminations immediately.
-	// Only ever flipped while every lane is parked.
+	// callbacks), where every module sees every pending termination. Only
+	// ever flipped while every lane is parked.
 	inControl bool
 
-	// Multi-group topology (nil/zero on the single-group path):
-	// this cluster is one lane-group replica, exchanging board rows,
+	// Lane-group topology (zero topology and nil transport with zero
+	// peers): this cluster is one lane-group replica, exchanging board rows,
 	// scaling demands, mailbox posts, charges and termination intents with
 	// its peers through tr. See transport.go for the distribution model.
-	shx     *ShardedExecutor
 	topo    Topology
 	tr      Transport
 	resolve func(uint64) *Request
@@ -181,29 +185,30 @@ func New(cfg Config, exec Executor) (*Cluster, error) {
 		return nil, err
 	}
 
-	if ls.Lanes() != n {
-		return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", ls.Lanes(), n)
+	x := ls.engine()
+	if x.Lanes() != n {
+		return nil, fmt.Errorf("sched: executor has %d lanes for %d modules", x.Lanes(), n)
+	}
+	if !x.topo.single() && cfg.Resolve == nil {
+		return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", x.topo.Groups)
 	}
 	c := &Cluster{
 		cfg:     cfg,
 		ls:      ls,
+		shx:     x,
 		board:   core.NewBoard(n),
 		jitter:  cfg.JitterPct,
 		batches: batches,
 		durs:    durs,
+		topo:    x.topo,
+		tr:      x.tr,
+		resolve: cfg.Resolve,
 	}
 	for k := 0; k < n; k++ {
 		c.pathRngs = append(c.pathRngs, rand.New(rand.NewSource(streamSeed(cfg.Seed, k, "path"))))
 	}
 	c.bridge = newLaneBridge(c, n)
-	ls.setBarrierHook(c.barrier)
-	if sx, ok := exec.(*ShardedExecutor); ok && sx.multi() {
-		if cfg.Resolve == nil {
-			return nil, fmt.Errorf("sched: a %d-group topology needs a Resolve hook (wire requests travel by ID)", sx.topo.Groups)
-		}
-		c.shx, c.topo, c.tr, c.resolve = sx, sx.Topology(), sx.tr, cfg.Resolve
-		sx.setControlHook(c.controlFlush)
-	}
+	x.setBarrierHook(c.barrier)
 
 	estCfg := core.DefaultEstimatorConfig()
 	if cfg.Lambda > 0 {
@@ -309,11 +314,9 @@ func (c *Cluster) scheduleEvent(src, dst int, at time.Duration, ev laneEvent) {
 }
 
 // control brackets a serial control-context callback (sync, scaling,
-// injected failures): in single-group lane mode, terminations decided here
-// commit immediately rather than deferring to a barrier. In a multi-group
-// topology they defer and commit at the post-event control flush instead —
-// the deciding group alone knows them, so immediate commits would diverge
-// the replicas.
+// injected failures). Terminations decided here defer like any other and
+// commit at the barrier hook that runs after the control event (or at an
+// explicit ControlFlush); meanwhile every module sees them as pending.
 func (c *Cluster) control(fn func()) {
 	c.inControl = true
 	fn()
@@ -321,54 +324,44 @@ func (c *Cluster) control(fn func()) {
 }
 
 // owns reports whether this cluster replica executes module k (always true
-// outside a multi-group topology).
+// with zero peers).
 func (c *Cluster) owns(k int) bool { return c.topo.owns(k) }
 
-// fail aborts a multi-group run from control context, poisoning the
-// transport so peer groups unblock.
-func (c *Cluster) fail(err error) {
-	if c.shx != nil {
-		c.shx.fail(err)
+// fail aborts the run from control context, poisoning the transport so peer
+// groups unblock.
+func (c *Cluster) fail(err error) { c.shx.fail(err) }
+
+// peerModule checks a module index that arrived from a peer group, so a
+// corrupt or hostile message aborts the run instead of indexing past the
+// module table.
+func (c *Cluster) peerModule(mod, group int32, what string) (int, error) {
+	if mod < 0 || int(mod) >= len(c.modules) {
+		return 0, fmt.Errorf("sched: %s from group %d names module %d, out of range [0,%d)", what, group, mod, len(c.modules))
 	}
+	return int(mod), nil
 }
 
-// controlFlush exchanges and commits the terminations (and any charges)
-// decided by the control event that just fired, so every replica observes
-// them — in the identical order — before the next control event or lane
-// window runs. It is the executor's per-control-event hook; hosts whose
-// control callbacks read replicated state after mutating it (e.g. a ticker
-// predicate checking for drained requests right after a sync tick) call
-// ControlFlush explicitly first. No-op outside a multi-group topology; an
-// all-empty exchange (the common case) is a valid empty-drain round.
-func (c *Cluster) controlFlush() error {
-	if c.shx == nil {
-		return nil
-	}
-	return c.exchangeBarrier(nil)
-}
-
-// ControlFlush is the host-facing controlFlush: call it inside a control
-// callback after any state mutation whose effects (dropped or completed
-// requests) the same callback subsequently reads. Errors abort the run via
-// the executor.
+// ControlFlush runs the barrier commit from inside a control callback: call
+// it after any state mutation whose effects (dropped or completed requests)
+// the same callback subsequently reads, e.g. a ticker predicate checking for
+// drained requests right after a sync tick. With peers it is an exchange
+// like any other (an all-empty one is a valid empty-drain round). Errors
+// abort the run via the executor.
 func (c *Cluster) ControlFlush() {
-	if c.shx == nil {
-		return
-	}
-	if err := c.controlFlush(); err != nil {
+	if err := c.barrier(); err != nil {
 		c.fail(err)
 	}
 }
 
-// exchangeBarrier is the multi-group window barrier: all-gather this
-// group's cross-group posts, pending termination intents and buffered
-// charges; deliver the incoming posts in mailbox order; apply the merged
-// charges (integer sums — order-free) and commit the merged intents in the
-// global deterministic order. Control flushes reuse it with nil posts.
-func (c *Cluster) exchangeBarrier(posts []WirePost) error {
+// exchangeBarrier is the barrier commit with peers: all-gather this group's
+// cross-group posts, pending termination intents and buffered charges;
+// deliver the incoming posts in mailbox order; apply the merged charges
+// (integer sums — order-free) and commit the merged intents in the global
+// deterministic order.
+func (c *Cluster) exchangeBarrier() error {
 	msg := BarrierMsg{
 		Group:   int32(c.topo.Group),
-		Posts:   posts,
+		Posts:   c.shx.takeWirePosts(),
 		Intents: c.bridge.encodeIntents(),
 		Charges: c.encodeCharges(),
 		Merges:  c.encodeMergeResets(),
@@ -383,16 +376,19 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 			continue
 		}
 		for _, wp := range bm.Posts {
-			if !c.owns(int(wp.Dst)) {
+			dst, err := c.peerModule(wp.Dst, bm.Group, "post")
+			if err != nil {
+				return err
+			}
+			if !c.owns(dst) {
 				continue
 			}
 			req := c.resolve(wp.Req)
 			if req == nil {
 				return fmt.Errorf("sched: post for unknown request %d from group %d", wp.Req, bm.Group)
 			}
-			dst := c.modules[wp.Dst]
-			c.shx.stagePost(post{src: int(wp.Src), dst: int(wp.Dst), at: wp.At,
-				ev: laneEvent{name: "hop", op: opReceive, m: dst, req: req}})
+			c.shx.stagePost(post{src: int(wp.Src), dst: dst, at: wp.At,
+				ev: laneEvent{name: "hop", op: opReceive, m: c.modules[dst], req: req}})
 		}
 	}
 	c.shx.deliverStaged()
@@ -415,7 +411,7 @@ func (c *Cluster) exchangeBarrier(posts []WirePost) error {
 			req.resetMerge(int(wm.Expected))
 		}
 	}
-	return c.bridge.commitWire(all, c.resolve)
+	return c.bridge.commitWire(all)
 }
 
 // encodeCharges drains every owned module's charge buffer into wire shape,
@@ -445,7 +441,7 @@ func (c *Cluster) SyncTick(now time.Duration) {
 		// multi-group topology only owned modules have state to publish;
 		// the board exchange below fills in the peers' rows before the
 		// (replicated) policy refresh reads the full board.
-		c.ls.parallelLanes(func(k int) {
+		c.shx.parallelLanes(func(k int) {
 			if c.owns(k) {
 				c.modules[k].publish(now, c.board)
 			}
@@ -465,9 +461,9 @@ func (c *Cluster) SyncTick(now time.Duration) {
 
 // exchangeBoard all-gathers the owned board rows so every replica's board —
 // and therefore every replica's policy refresh — sees the identical
-// cluster-wide state. No-op outside a multi-group topology.
+// cluster-wide state. No-op with zero peers.
 func (c *Cluster) exchangeBoard() error {
-	if c.shx == nil {
+	if c.tr == nil {
 		return nil
 	}
 	rows := make([]WireBoardRow, 0, (len(c.modules)+c.topo.Groups-1)/c.topo.Groups)
@@ -485,7 +481,11 @@ func (c *Cluster) exchangeBoard() error {
 			continue
 		}
 		for _, r := range all[i].Rows {
-			c.board.Publish(int(r.Mod), r.State)
+			k, err := c.peerModule(r.Mod, all[i].Group, "board row")
+			if err != nil {
+				return err
+			}
+			c.board.Publish(k, r.State)
 		}
 	}
 	return nil
@@ -519,10 +519,9 @@ func (c *Cluster) ScaleTick(now time.Duration) {
 }
 
 // exchangeScale all-gathers the owned modules' scaling demands so every
-// replica applies the identical GPU-budget split. No-op outside a
-// multi-group topology.
+// replica applies the identical GPU-budget split. No-op with zero peers.
 func (c *Cluster) exchangeScale(desired []int) error {
-	if c.shx == nil {
+	if c.tr == nil {
 		return nil
 	}
 	rows := make([]WireScaleRow, 0, (len(c.modules)+c.topo.Groups-1)/c.topo.Groups)
@@ -540,7 +539,11 @@ func (c *Cluster) exchangeScale(desired []int) error {
 			continue
 		}
 		for _, r := range all[i].Rows {
-			desired[r.Mod] = int(r.Desired)
+			k, err := c.peerModule(r.Mod, all[i].Group, "scale row")
+			if err != nil {
+				return err
+			}
+			desired[k] = int(r.Desired)
 		}
 	}
 	return nil
@@ -550,7 +553,7 @@ func (c *Cluster) exchangeScale(desired []int) error {
 // returning how many actually died. In a multi-group topology the failure
 // event is replicated on every control lane but only the owner's workers
 // hold state: non-owners no-op (returning 0) and learn the resulting drops
-// at the post-event control flush.
+// at the barrier commit after the event.
 func (c *Cluster) Crash(k int, now time.Duration, count int) int {
 	if !c.owns(k) {
 		return 0
@@ -571,14 +574,15 @@ func (c *Cluster) scheduleWarmup(w *worker, at time.Duration) {
 	c.scheduleEvent(w.mod.idx, w.mod.idx, at, laneEvent{name: "warmup", op: opWarmup, w: w})
 }
 
-// barrier runs at every lane-window barrier (all lanes parked): first the
-// lanes' batched per-request accounting merges into the shared Requests,
-// then deferred terminations commit — in that order, so host OnDone/OnDrop
-// callbacks observe complete sums. In a multi-group topology the same
-// sequencing runs over the all-gathered payloads of every group.
+// barrier is the cluster's one commit point, run by the engine after every
+// lane window and every control event (all lanes parked): first the lanes'
+// batched per-request accounting merges into the shared Requests, then
+// deferred terminations commit — in that order, so host OnDone/OnDrop
+// callbacks observe complete sums. With peers the same sequencing runs over
+// the all-gathered payloads of every group.
 func (c *Cluster) barrier() error {
-	if c.shx != nil {
-		return c.exchangeBarrier(c.shx.takeWirePosts())
+	if c.tr != nil {
+		return c.exchangeBarrier()
 	}
 	c.flushCharges()
 	c.bridge.commit()
@@ -608,31 +612,24 @@ func (c *Cluster) retired(req *Request, k int) bool {
 	if req.Dropped || req.Finished {
 		return true
 	}
-	if c.inControl && c.shx != nil {
-		// Multi-group control context defers terminations that a single
-		// group would commit immediately — and immediately-visible to every
-		// module within the same control event (e.g. a scale-induced drop at
-		// one module seen by a parallel DAG branch at another). The whole
-		// pending set reproduces that visibility.
+	if c.inControl {
+		// Every lane is parked, so a termination pending at any module (e.g.
+		// a scale-induced drop at one module, seen by a parallel DAG branch
+		// at another) is visible to all of them within the control event.
 		return c.bridge.seesAny(req)
 	}
 	return c.bridge.sees(k, req)
 }
 
-// drop marks a request dropped at module k and notifies the host. Inside a
-// window the decision is deferred to the next barrier commit, keeping the
-// shared Request untouched while other lanes run. Multi-group control
-// context also defers (committed at the post-event control flush): the
-// decision is owner-local knowledge until exchanged.
+// drop marks a request dropped at module k. The decision is deferred to the
+// next barrier commit, which notifies the host, keeping the shared Request
+// untouched while other lanes run (and, with peers, until the decision is
+// exchanged).
 func (c *Cluster) drop(req *Request, k int, now time.Duration) {
-	if !c.inControl || c.shx != nil {
-		if c.retired(req, k) {
-			return
-		}
-		c.bridge.add(k, req, now, true)
+	if c.retired(req, k) {
 		return
 	}
-	c.commitDrop(req, k, now)
+	c.bridge.add(k, req, now, true)
 }
 
 // commitDrop applies a drop decision. The first commit for a request wins;
@@ -675,12 +672,12 @@ func (c *Cluster) forward(req *Request, k int, now time.Duration) {
 }
 
 // resetMerge arms the request's merge bookkeeping for the next fan-out
-// region. In a multi-group topology the arm also rides the next barrier to
-// the peer replicas (see WireMergeReset): the merge module's owner reads
+// region. With peers the arm also rides the next barrier exchange to the
+// peer replicas (see WireMergeReset): the merge module's owner reads
 // ExpectedMerge, and only the fan-out owner runs this code.
 func (c *Cluster) resetMerge(req *Request, k int, now time.Duration, n int) {
 	req.resetMerge(n)
-	if c.shx != nil {
+	if c.tr != nil {
 		m := c.modules[k]
 		m.mergeResets = append(m.mergeResets, WireMergeReset{At: now, Mod: int32(k), Req: req.ID, Expected: int32(n)})
 	}
@@ -716,16 +713,12 @@ func (c *Cluster) pickBranch(mod pipeline.Module) int {
 }
 
 // complete finalizes a request that finished the sink module k. Like drop,
-// it defers to the barrier commit inside a window.
+// it defers to the next barrier commit.
 func (c *Cluster) complete(req *Request, k int, now time.Duration) {
-	if !c.inControl || c.shx != nil {
-		if c.retired(req, k) {
-			return
-		}
-		c.bridge.add(k, req, now, false)
+	if c.retired(req, k) {
 		return
 	}
-	c.commitComplete(req, now)
+	c.bridge.add(k, req, now, false)
 }
 
 // commitComplete applies a sink completion (no-op if the request already

@@ -39,13 +39,16 @@ import (
 // A simulation builds the executor, schedules its initial events and calls
 // Run; a live host drives it in increments through a Driver (RunUntil).
 //
+// The barrier hook is the engine's one commit point: it runs after every
+// lane window and after every control event, with every lane parked.
+//
 // With a multi-group Topology (NewShardedExecutorTopo), the executor is one
 // lane group of a replicated cluster: it executes only the lanes it owns,
 // exchanges its low watermark and cross-group mailbox posts through the
 // Transport each iteration, and verifies control-lane lockstep against its
-// peers — see transport.go for the distribution model. The single-group
-// path never touches the Transport and is bit- and allocation-identical to
-// the pre-topology executor.
+// peers — see transport.go for the distribution model. A single group is
+// the same executor with zero peers: it owns every lane and skips the
+// exchanges.
 type ShardedExecutor struct {
 	lookahead time.Duration
 	shards    int
@@ -58,17 +61,15 @@ type ShardedExecutor struct {
 	fired    uint64
 
 	barrierFn func() error
-	mailbox   []post // barrier-scope scratch for merged outboxes
 
 	pool *shardPool
 
-	// Lane-group state (zero/nil on the single-group path).
+	// Lane-group state (zero topology and nil transport with zero peers).
 	topo      Topology
 	tr        Transport
-	ctrlHook  func() error // runs after every control event (multi-group)
-	err       error        // first transport/lockstep error; aborts the run
-	wireOut   []WirePost   // this window's cross-group posts (handed off per barrier)
-	staged    []post       // this barrier's local + decoded remote posts
+	err       error      // first transport/lockstep error; aborts the run
+	wireOut   []WirePost // this window's cross-group posts (handed off per barrier)
+	staged    []post     // this barrier's owned + decoded peer posts
 	laneFired uint64
 }
 
@@ -191,8 +192,8 @@ func NewShardedExecutor(lanes, shards int, lookahead time.Duration) *ShardedExec
 }
 
 // NewShardedExecutorTopo builds an executor running one lane group of a
-// multi-group topology over the given transport. With a single-group
-// topology the transport may be nil and the executor is identical to
+// multi-group topology over the given transport. A single-group (zero)
+// topology has no peers: the transport may be nil, and the executor is
 // NewShardedExecutor's.
 func NewShardedExecutorTopo(lanes, shards int, lookahead time.Duration, topo Topology, tr Transport) (*ShardedExecutor, error) {
 	if err := topo.validate(); err != nil {
@@ -208,13 +209,6 @@ func NewShardedExecutorTopo(lanes, shards int, lookahead time.Duration, topo Top
 	}
 	return x, nil
 }
-
-// multi reports whether this executor is one group of a multi-group run.
-func (x *ShardedExecutor) multi() bool { return x.tr != nil }
-
-// Topology returns the executor's lane-group placement (zero value on the
-// single-group path).
-func (x *ShardedExecutor) Topology() Topology { return x.topo }
 
 // Err returns the error that aborted the run, if any: a transport failure,
 // a control-lane lockstep divergence, or a non-wire event reaching the
@@ -292,7 +286,7 @@ func (x *ShardedExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev l
 		// Host/control context is replicated across lane groups: every group
 		// executes this schedule, so a group only enqueues events for lanes
 		// it owns — the owner's identical copy is the one that runs.
-		if x.tr != nil && !x.topo.owns(dst) {
+		if !x.topo.owns(dst) {
 			return
 		}
 		if at < x.frontier {
@@ -312,16 +306,24 @@ func (x *ShardedExecutor) scheduleLaneEvent(src, dst int, at time.Duration, ev l
 	from.outbox = append(from.outbox, post{src: src, dst: dst, at: at, ev: ev})
 }
 
-// setBarrierHook registers fn to run at every window barrier (after mailbox
-// delivery, with all lanes parked). The cluster uses it to commit deferred
-// drop/completion intents in deterministic order; in a multi-group topology
-// the hook also performs the barrier exchange, and its error aborts the run.
+// setBarrierHook registers fn as the engine's commit point: it runs after
+// every lane window (once the mailbox is flushed) and after every control
+// event, with all lanes parked. The cluster uses it to commit deferred
+// drop/completion intents in deterministic order; with peers the hook also
+// performs the barrier exchange, and its error aborts the run.
 func (x *ShardedExecutor) setBarrierHook(fn func() error) { x.barrierFn = fn }
 
-// setControlHook registers fn to run after every control event. The cluster
-// uses it in multi-group mode to exchange and commit control-context
-// terminations, keeping the replicas lockstep-identical between events.
-func (x *ShardedExecutor) setControlHook(fn func() error) { x.ctrlHook = fn }
+// commit runs the barrier hook unless the run has already failed.
+func (x *ShardedExecutor) commit() {
+	if x.barrierFn != nil && x.err == nil {
+		if err := x.barrierFn(); err != nil {
+			x.fail(err)
+		}
+	}
+}
+
+// engine returns the executor itself: the lane engine a Cluster runs on.
+func (x *ShardedExecutor) engine() *ShardedExecutor { return x }
 
 // takeWirePosts hands off this window's cross-group posts. Ownership moves
 // to the caller (the slice goes on the wire or into a peer's hands), so the
@@ -337,9 +339,12 @@ func (x *ShardedExecutor) takeWirePosts() []WirePost {
 func (x *ShardedExecutor) stagePost(p post) { x.staged = append(x.staged, p) }
 
 // deliverStaged pushes the staged posts into their destination lanes in
-// mailbox order. Equal (time, source) runs never span groups — a source
-// lane lives in exactly one group — so the stable sort reproduces the exact
-// single-process delivery order regardless of group count.
+// mailbox order: (virtual time, source module, send sequence). Insertion
+// order assigns the destination-lane FIFO tiebreak, so delivery — and
+// everything downstream of it — is deterministic. Equal (time, source) runs
+// never span groups — a source lane lives in exactly one group — so the
+// stable sort reproduces the exact single-process delivery order regardless
+// of group count.
 func (x *ShardedExecutor) deliverStaged() {
 	if len(x.staged) == 0 {
 		return
@@ -375,10 +380,9 @@ func (x *ShardedExecutor) minLane() (time.Duration, bool) {
 }
 
 // runControl fires every control event at exactly time t, including ones the
-// callbacks schedule at t. In multi-group mode the control hook runs after
-// each event so replicated state commits in lockstep before the next event
-// (or any predicate evaluated by the event's own closure sequencing) reads
-// it.
+// callbacks schedule at t. The barrier hook commits after each event, so the
+// terminations it decided are visible — on every replica, in the same order —
+// before the next control event or lane window runs.
 func (x *ShardedExecutor) runControl(t time.Duration) {
 	for {
 		_, key, ok := x.ctrl.q.PeekMin()
@@ -391,11 +395,7 @@ func (x *ShardedExecutor) runControl(t time.Duration) {
 		}
 		x.ctrl.fired++
 		ev.fire(t)
-		if x.ctrlHook != nil {
-			if err := x.ctrlHook(); err != nil {
-				x.fail(err)
-			}
-		}
+		x.commit()
 		if x.err != nil {
 			return
 		}
@@ -435,29 +435,15 @@ func (x *ShardedExecutor) runWindow(lo, hi time.Duration) {
 	}
 }
 
-// flushOutboxes merges every lane's outbox and delivers the posts into their
-// destination lanes in mailbox order: (virtual time, source module, send
-// sequence). Insertion order assigns the destination-lane FIFO tiebreak, so
-// delivery — and everything downstream of it — is deterministic.
+// flushOutboxes gathers every lane's outbox in (source module, send order):
+// posts to owned lanes are staged for delivery in mailbox order, posts to a
+// peer's lanes are encoded for the wire. With no peers the staged posts are
+// delivered at once; otherwise the barrier hook delivers them after merging
+// in the peers' posts from the exchange.
 func (x *ShardedExecutor) flushOutboxes() {
-	all := x.mailbox[:0]
 	for _, l := range x.lanes {
-		if len(l.outbox) > 0 {
-			all = append(all, l.outbox...)
-			l.outbox = l.outbox[:0]
-		}
-	}
-	x.mailbox = all[:0]
-	if len(all) == 0 {
-		return
-	}
-	if x.tr != nil {
-		// Multi-group: split the merged outbox into locally-owned posts
-		// (staged for delivery after the barrier exchange, merged with the
-		// peers' incoming posts) and cross-group posts (encoded for the
-		// wire; the barrier hook hands them to the transport).
-		for i := range all {
-			p := &all[i]
+		for i := range l.outbox {
+			p := &l.outbox[i]
 			if x.topo.owns(p.dst) {
 				x.staged = append(x.staged, *p)
 				continue
@@ -469,12 +455,10 @@ func (x *ShardedExecutor) flushOutboxes() {
 			}
 			x.wireOut = append(x.wireOut, wp)
 		}
-		return
+		l.outbox = l.outbox[:0]
 	}
-	sortPosts(all)
-	for i := range all {
-		p := &all[i]
-		x.lanes[p.dst].push(p.at, p.ev)
+	if x.tr == nil {
+		x.deliverStaged()
 	}
 }
 
@@ -574,11 +558,7 @@ func (x *ShardedExecutor) RunUntil(t time.Duration) time.Duration {
 			}
 			x.runWindow(tLane, hi)
 			x.flushOutboxes()
-			if x.barrierFn != nil && x.err == nil {
-				if err := x.barrierFn(); err != nil {
-					x.fail(err)
-				}
-			}
+			x.commit()
 			if hi > x.frontier {
 				x.frontier = hi
 			}

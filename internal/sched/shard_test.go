@@ -117,21 +117,18 @@ func TestShardedExecutorZeroLookahead(t *testing.T) {
 }
 
 // TestShardedExecutorControlFirst verifies that control events precede lane
-// events at equal timestamps, and that the barrier hook runs after every
-// lane window.
+// events at equal timestamps, and that the barrier hook — the engine's one
+// commit point — runs after every control event and after every lane
+// window: the control event's commit lands before the lane event fires.
 func TestShardedExecutorControlFirst(t *testing.T) {
 	x := NewShardedExecutor(2, 2, 5)
 	var order []string
-	barriers := 0
-	x.setBarrierHook(func() error { barriers++; return nil })
+	x.setBarrierHook(func() error { order = append(order, "commit"); return nil })
 	x.Schedule(10, "ctrl", func(now time.Duration) { order = append(order, "ctrl") })
 	x.scheduleLane(-1, 0, 10, "lane", func(now time.Duration) { order = append(order, "lane") })
 	x.Run()
-	if want := []string{"ctrl", "lane"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	if barriers != 1 {
-		t.Fatalf("barrier ran %d times, want 1", barriers)
+	if want := []string{"ctrl", "commit", "lane", "commit"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v (1 control commit + 1 window commit)", order, want)
 	}
 }
 

@@ -141,8 +141,8 @@ type StepMsg struct {
 
 // BarrierMsg is one group's window-barrier payload: cross-group posts,
 // termination intents, and charge records, each in deterministic local
-// order. Control-event flushes reuse the same shape with only Intents set;
-// an all-empty exchange (an empty-drain round) is valid and common.
+// order. The commit after a control event carries no posts; an all-empty
+// exchange (an empty-drain round) is valid and common.
 type BarrierMsg struct {
 	Group   int32
 	Posts   []WirePost
@@ -321,10 +321,11 @@ func (h *memHub) failLocked(err error) {
 }
 
 // memTransport is one group's endpoint on an in-process hub: today's
-// shared-memory behavior expressed through the Transport seam. The
-// single-group fast path never reaches a Transport at all (exchanges are
-// skipped entirely when Topology.single()), which is what keeps the
-// in-process hot loop allocation-free under the TestAllocs* floors.
+// shared-memory behavior expressed through the Transport seam. A single
+// group has zero peers and no Transport: its executor and cluster skip the
+// exchanges (gatherAs allocates per round, and wire requests resolve by ID
+// through a request slab a live host does not keep), which is what keeps
+// the in-process hot loop allocation-free under the TestAllocs* floors.
 type memTransport struct {
 	hub   *memHub
 	group int

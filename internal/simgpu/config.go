@@ -100,7 +100,9 @@ type Config struct {
 	// each running a full cluster replica in lockstep over an in-process
 	// transport (module k belongs to group k % Groups). Results are
 	// bit-identical for every group count — determinism invariant #5 — and
-	// 0 and 1 both mean the ungrouped fast path. The cross-host form of the same topology is configured via Remote.
+	// 0 and 1 both mean a single group: the same run with zero peers and no
+	// transport. The cross-host form of the same topology is configured via
+	// Remote.
 	Groups int
 	// Remote, when non-nil, runs THIS process as one lane group of a
 	// cross-host simulation over the given transport (set by the

@@ -51,7 +51,7 @@ var digestApps = []struct {
 }
 
 // digestConfig is one golden case: a bursty trace with two injected
-// failures, autoscaling on (the default) and every probe enabled, so drops
+// failures, autoscaling every second and every probe enabled, so drops
 // decided in failure and scaling callbacks, sync-tick probes and the
 // decomposition samples all feed the digest.
 func digestConfig(spec *pipeline.Spec, pol string, shards int) Config {

@@ -59,14 +59,15 @@ type Runner struct {
 	sumQ, sumW, sumD []float64
 	sampleCounter    int
 
-	// Lane-group placement (zero/nil outside a multi-group topology). Each
-	// group runner holds a complete cluster replica and executes only its
-	// owned lanes; reports carries the peers' owner-only per-module state
-	// (probes, peak workers) after the end-of-run Finish exchange.
+	// Lane-group placement (zero topology and nil transport with zero
+	// peers). Each group runner holds a complete cluster replica and
+	// executes only its owned lanes. reports[k] is module k's owner-only
+	// state (probes, peak workers) and fired the global event count, both
+	// assembled at the end of the run (see finish).
 	topo    sched.Topology
 	tr      sched.Transport
-	reports map[int]*sched.ModuleReport
-	fired   uint64 // global event count from the Finish exchange
+	reports []*sched.ModuleReport
+	fired   uint64
 }
 
 // New validates the configuration and assembles the cluster.
@@ -98,24 +99,19 @@ func New(cfg Config) (*Runner, error) {
 	}
 
 	r := &Runner{cfg: full}
-	switch {
-	case full.Remote != nil:
+	if rt := full.Remote; rt != nil {
 		// One lane group of a multi-group topology: the full cluster is
 		// built as a replica, but only owned lanes (module k with
 		// k % Groups == Group) execute; everything else arrives through the
 		// transport's lockstep exchanges.
-		rt := full.Remote
 		r.topo = sched.Topology{Groups: rt.Groups, Group: rt.Group}
 		r.tr = rt.Transport
-		shx, err := sched.NewShardedExecutorTopo(full.Spec.N(), full.Shards, full.NetDelay, r.topo, r.tr)
-		if err != nil {
-			return nil, err
-		}
-		r.shx = shx
-	default:
-		// One event lane per module, up to Shards workers, conservative
-		// lookahead = the per-hop network delay.
-		r.shx = sched.NewShardedExecutor(full.Spec.N(), full.Shards, full.NetDelay)
+	}
+	// One event lane per module, up to Shards workers, conservative
+	// lookahead = the per-hop network delay.
+	r.shx, err = sched.NewShardedExecutorTopo(full.Spec.N(), full.Shards, full.NetDelay, r.topo, r.tr)
+	if err != nil {
+		return nil, err
 	}
 	cl, err := sched.New(sched.Config{
 		Spec:             full.Spec,
@@ -211,20 +207,18 @@ func (r *Runner) Run() (*Result, error) {
 	if err := r.shx.Err(); err != nil {
 		return nil, err
 	}
-	if r.tr != nil {
-		if err := r.finishExchange(); err != nil {
-			r.tr.Abort(err)
-			return nil, err
-		}
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 	return r.buildResult(), nil
 }
 
-// finishExchange all-gathers the end-of-run per-module reports so this
-// replica can assemble the full result: probes and peak workers live only on
-// the owning group, and the global event count is the replicated control-lane
-// count plus every group's owned-lane count.
-func (r *Runner) finishExchange() error {
+// finish assembles the end-of-run per-module reports the result is built
+// from: probes and peak workers live only on the owning group, and the
+// global event count is the replicated control-lane count plus every
+// group's owned-lane count. With peers the reports are all-gathered through
+// the Finish exchange; with zero peers this replica's own are the full set.
+func (r *Runner) finish() error {
 	n := r.cl.N()
 	msg := sched.FinishMsg{Group: int32(r.topo.Group), LaneFired: r.shx.FiredLanes()}
 	for k := 0; k < n; k++ {
@@ -243,59 +237,41 @@ func (r *Runner) finishExchange() error {
 			WaitSamples: p.WaitSamples,
 		})
 	}
-	all, err := r.tr.Finish(msg)
-	if err != nil {
-		return err
+	all := []sched.FinishMsg{msg}
+	if r.tr != nil {
+		var err error
+		if all, err = r.tr.Finish(msg); err != nil {
+			return err
+		}
 	}
-	r.reports = make(map[int]*sched.ModuleReport, n)
+	r.reports = make([]*sched.ModuleReport, n)
 	r.fired = r.shx.FiredControl()
 	for i := range all {
 		r.fired += all[i].LaneFired
 		for j := range all[i].Reports {
 			rep := &all[i].Reports[j]
-			r.reports[int(rep.Mod)] = rep
+			if rep.Mod < 0 || int(rep.Mod) >= n {
+				return fmt.Errorf("simgpu: finish report from group %d names module %d, out of range [0,%d)", all[i].Group, rep.Mod, n)
+			}
+			r.reports[rep.Mod] = rep
 		}
 	}
-	if len(r.reports) != n {
-		return fmt.Errorf("simgpu: finish exchange covered %d of %d modules", len(r.reports), n)
+	for k, rep := range r.reports {
+		if rep == nil {
+			return fmt.Errorf("simgpu: finish exchange has no report for module %d", k)
+		}
 	}
 	return nil
-}
-
-// peakWorkers returns module k's peak worker count, consulting the owner's
-// report in a multi-group topology.
-func (r *Runner) peakWorkers(k int) int {
-	if r.reports != nil {
-		return r.reports[k].Peak
-	}
-	return r.cl.PeakWorkers(k)
-}
-
-// moduleProbes returns module k's probe outputs, consulting the owner's
-// report in a multi-group topology (probe series fill only on the owner).
-func (r *Runner) moduleProbes(k int) sched.ModuleProbes {
-	if r.reports != nil {
-		rep := r.reports[k]
-		return sched.ModuleProbes{
-			QueueDelay:  rep.QueueDelay,
-			Load:        rep.Load,
-			Mode:        rep.Mode,
-			Budget:      rep.Budget,
-			Remain:      rep.Remain,
-			WaitSamples: rep.WaitSamples,
-		}
-	}
-	return r.cl.Probes(k)
 }
 
 // runSharded drives the per-module lane engine. Sync, scaling and failure
 // events run on the executor's serial control lane (every module lane
 // parked), exactly the cross-module context they need.
 func (r *Runner) runSharded() {
-	// The ControlFlush calls are multi-group no-ops made explicit: a tick's
-	// drops/completions are owner-local until exchanged, and the drained
-	// predicate right after must read the committed counts — on every
-	// replica — or the groups could disagree on when the run ends.
+	// A tick's drops and completions commit at the barrier hook after the
+	// tick, but the drained predicate right after must read the committed
+	// counts — on every replica — or the groups could disagree on when the
+	// run ends. ControlFlush commits them first.
 	r.shx.Ticker(r.cfg.SyncPeriod, "sync", func(now time.Duration) bool {
 		r.cl.SyncTick(now)
 		r.cl.ControlFlush()
@@ -347,16 +323,12 @@ func (r *Runner) buildResult() *Result {
 		col.Add(rec)
 	}
 
-	fired := r.shx.Fired()
-	if r.reports != nil {
-		fired = r.fired // control events once + every group's owned lanes
-	}
 	res := &Result{
 		Collector:  col,
 		Summary:    col.Summary(),
 		PolicyName: r.cfg.PolicyName,
 		Workload:   r.cfg.Spec.App + "-" + r.cfg.Trace.Name,
-		SimEvents:  fired,
+		SimEvents:  r.fired,
 		SumQ:       r.sumQ,
 		SumW:       r.sumW,
 		SumD:       r.sumD,
@@ -368,17 +340,17 @@ func (r *Runner) buildResult() *Result {
 	for k := 0; k < n; k++ {
 		res.TargetBatches[k] = r.cl.TargetBatch(k)
 		res.ProfiledDurs[k] = r.cl.ProfiledDur(k)
-		res.PeakWorkers[k] = r.peakWorkers(k)
+		res.PeakWorkers[k] = r.reports[k].Peak
 	}
 	if r.cfg.Probes.QueueDelay {
 		for k := 0; k < n; k++ {
-			res.QueueDelay = append(res.QueueDelay, r.moduleProbes(k).QueueDelay)
+			res.QueueDelay = append(res.QueueDelay, r.reports[k].QueueDelay)
 		}
 	}
 	if r.cfg.Probes.LoadFactor {
 		// Report the source module's controller (the module workload bursts
 		// hit first; Fig. 13 plots a single representative module).
-		src := r.moduleProbes(r.cfg.Spec.Source())
+		src := r.reports[r.cfg.Spec.Source()]
 		res.LoadFactor = src.Load
 		res.ModeSeries = src.Mode
 		if pr, ok := r.cl.Policy().(interface {
@@ -395,14 +367,14 @@ func (r *Runner) buildResult() *Result {
 	}
 	if r.cfg.Probes.Budget {
 		for k := 0; k < n; k++ {
-			p := r.moduleProbes(k)
+			p := r.reports[k]
 			res.Consumed = append(res.Consumed, p.Budget)
 			res.Remaining = append(res.Remaining, p.Remain)
 		}
 	}
 	if r.cfg.Probes.Decomposition {
 		for k := 0; k < n; k++ {
-			res.WaitSamples = append(res.WaitSamples, r.moduleProbes(k).WaitSamples)
+			res.WaitSamples = append(res.WaitSamples, r.reports[k].WaitSamples)
 		}
 	}
 	return res

@@ -417,8 +417,14 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxArrivalSeconds bounds a parsed arrival offset: half the time.Duration
+// range (~146 years), so the arrival and the trace duration one second past
+// the last arrival both fit without overflow.
+const maxArrivalSeconds = float64(math.MaxInt64/2) / float64(time.Second)
+
 // ReadCSV parses a trace written by WriteCSV (or any newline-separated list
-// of arrival offsets in seconds; '#' lines are comments).
+// of arrival offsets in seconds; '#' lines are comments). Non-finite,
+// negative and out-of-range offsets are rejected.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -434,8 +440,13 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		if v < 0 {
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return nil, fmt.Errorf("trace: line %d: non-finite arrival %v", line, v)
+		case v < 0:
 			return nil, fmt.Errorf("trace: line %d: negative arrival %v", line, v)
+		case v > maxArrivalSeconds:
+			return nil, fmt.Errorf("trace: line %d: arrival %v s out of range (max %.0f s)", line, v, maxArrivalSeconds)
 		}
 		arrivals = append(arrivals, time.Duration(v*float64(time.Second)))
 	}
